@@ -33,8 +33,11 @@ struct AutoMstOptions {
   /// Connectivity hint; kUnknown = consult the RunContext's cache.
   Connectivity connectivity = Connectivity::kUnknown;
   /// When the chosen parallel algorithm fails (deadline, injected fault,
-  /// thrown exception, non-convergence), rerun with sequential Kruskal —
-  /// slower but dependable — instead of returning the partial result.
+  /// thrown exception, non-convergence), rerun with sequential Kruskal
+  /// instead of returning the partial result.  Kruskal radix-sorts the
+  /// packed priorities and uses no executor, so it does not depend on the
+  /// team that just failed, and on the benchmark graphs it costs less than
+  /// the primary solve it replaces (docs/performance.md).
   bool fallback_to_sequential = true;
 };
 

@@ -1,10 +1,13 @@
 #include "mst/kruskal.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <array>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/run_context.hpp"
 #include "ds/union_find.hpp"
+#include "obs/phase_timer.hpp"
 #include "support/failpoint.hpp"
 
 namespace llpmst {
@@ -14,43 +17,98 @@ namespace {
 /// relative to the unite work, fine-grained enough that a deadline or a
 /// user cancel lands mid-scan rather than only at the end.
 constexpr std::size_t kScanStride = 1024;
+
+/// Radix digit width: 2^11 counters (16 KiB) stay in L1, and three passes
+/// cover the 32-bit weight half of a priority.
+constexpr unsigned kDigitBits = 11;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+constexpr Weight kDigitMask = kBuckets - 1;
+
+/// How many edges ahead the scan prefetches the edge record it will unite.
+constexpr std::size_t kPrefetchDistance = 16;
+
+/// Stable LSD radix sort of packed priorities by their weight half.  The
+/// keys arrive in id order, so stability leaves them in full (weight, id)
+/// order without ever looking at the id half.  `varying` has a bit set
+/// wherever two weights differ; a digit with no varying bit is the same for
+/// every key and its pass is skipped.  The token is polled before each
+/// pass: on cancellation the sort stops early, leaving the keys unordered,
+/// and the scan's poll at i == 0 reports the outcome before any key is used.
+void radix_sort_by_weight(std::vector<EdgePriority>& keys, Weight varying,
+                          const CancelToken* cancel) {
+  std::vector<EdgePriority> scatter;
+  for (unsigned bit = 0; bit < 32; bit += kDigitBits) {
+    if (((varying >> bit) & kDigitMask) == 0) continue;
+    if (cancel != nullptr && cancel->cancelled()) return;
+    if (scatter.empty()) scatter.resize(keys.size());
+    const unsigned shift = 32 + bit;
+    std::array<std::size_t, kBuckets> offset{};
+    for (const EdgePriority k : keys) ++offset[(k >> shift) & kDigitMask];
+    std::size_t sum = 0;
+    for (std::size_t& o : offset) sum += std::exchange(o, sum);
+    for (const EdgePriority k : keys) {
+      scatter[offset[(k >> shift) & kDigitMask]++] = k;
+    }
+    keys.swap(scatter);
+  }
+}
 }  // namespace
 
 MstResult kruskal(const CsrGraph& g) { return kruskal_cancellable(g, nullptr); }
 
 MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
+  obs::PhaseTimer phase("kruskal");
   const std::size_t n = g.num_vertices();
-  const std::size_t m = g.num_edges();
+  const std::span<const WeightedEdge> edges = g.edges();
+  const std::size_t m = edges.size();
 
-  // Sort edge ids by packed priority == (weight, id) lexicographic.
-  std::vector<EdgeId> order(m);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge_priority(a) < g.edge_priority(b);
-  });
+  // Sort packed priorities == (weight, id) lexicographic.  `any & ~all`
+  // marks the weight bits that are not the same for every edge.
+  std::vector<EdgePriority> order;
+  {
+    obs::PhaseTimer sort_phase("sort");
+    order.resize(m);
+    Weight any = 0;
+    Weight all = ~Weight{0};
+    for (std::size_t e = 0; e < m; ++e) {
+      const Weight w = edges[e].w;
+      order[e] = make_priority(w, static_cast<EdgeId>(e));
+      any |= w;
+      all &= w;
+    }
+    radix_sort_by_weight(order, any & ~all, cancel);
+  }
 
   MstResult r;
   r.edges.reserve(n > 0 ? n - 1 : 0);
-  UnionFind uf(n);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i % kScanStride == 0) {
-      // Chaos hook: the fallback oracle's scan.  This is the window where
-      // "user cancel arrives while mst::auto is already falling back" is
-      // exercised deterministically — a scripted timeline cancels on a hit
-      // of this point, and the poll right after observes it.
-      if (LLPMST_FAILPOINT("kruskal/scan") != fail::Action::kNone) {
-        r.stats.outcome = RunOutcome::kInjectedFault;
-        break;
+  {
+    obs::PhaseTimer scan_phase("scan");
+    UnionFind uf(n);
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i % kScanStride == 0) {
+        // Chaos hook: the fallback oracle's scan.  This is the window where
+        // "user cancel arrives while mst::auto is already falling back" is
+        // exercised deterministically — a scripted timeline cancels on a hit
+        // of this point, and the poll right after observes it.
+        if (LLPMST_FAILPOINT("kruskal/scan") != fail::Action::kNone) {
+          r.stats.outcome = RunOutcome::kInjectedFault;
+          break;
+        }
+        if (cancel != nullptr && cancel->cancelled()) {
+          r.stats.outcome = cancel->reason();
+          break;
+        }
       }
-      if (cancel != nullptr && cancel->cancelled()) {
-        r.stats.outcome = cancel->reason();
-        break;
+      if (i + kPrefetchDistance < m) {
+        __builtin_prefetch(
+            &edges[priority_edge(order[i + kPrefetchDistance])]);
       }
-    }
-    const WeightedEdge& we = g.edge(order[i]);
-    if (uf.unite(we.u, we.v)) {
-      r.edges.push_back(order[i]);
-      if (r.edges.size() + 1 == n) break;  // spanning tree complete
+      const EdgeId e = priority_edge(order[i]);
+      const WeightedEdge& we = edges[e];
+      if (uf.unite(we.u, we.v)) {
+        r.edges.push_back(e);
+        if (r.edges.size() + 1 == n) break;  // spanning tree complete
+      }
     }
   }
   finalize_result(g, r);
@@ -63,7 +121,8 @@ MstResult kruskal(const CsrGraph& g, RunContext& ctx) {
 
 MstAlgorithm kruskal_algorithm() {
   return {"kruskal", "Kruskal",
-          "sort all edges, grow the forest through union-find (the oracle)",
+          "radix-sort packed priorities, grow the forest through union-find "
+          "(the oracle)",
           {.parallel = false, .msf_capable = true, .deterministic = true,
            .cancellable = true},
           [](const CsrGraph& g, RunContext& ctx) { return kruskal(g, ctx); }};

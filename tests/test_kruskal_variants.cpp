@@ -3,12 +3,17 @@
 // specific mechanics.)
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/rmat.hpp"
 #include "graph/generators/special.hpp"
 #include "mst/filter_kruskal.hpp"
 #include "mst/kruskal.hpp"
 #include "mst/kruskal_parallel.hpp"
+#include "mst/verifier.hpp"
+#include "support/cancel.hpp"
+#include "support/random.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -23,16 +28,80 @@ class KruskalVariants : public testing::TestWithParam<int> {
 };
 INSTANTIATE_TEST_SUITE_P(Threads, KruskalVariants, testing::Values(1, 4));
 
-TEST_P(KruskalVariants, ParallelKruskalMatchesOracle) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    ErdosRenyiParams p;
-    p.num_vertices = 2000;
-    p.num_edges = 10000;
-    p.seed = seed;
-    const CsrGraph g = csr(generate_erdos_renyi(p));
-    EXPECT_EQ(kruskal_parallel(g, ctx_).edges, kruskal(g).edges)
-        << "seed " << seed;
+EdgeList er_edges(std::uint64_t seed) {
+  ErdosRenyiParams p;
+  p.num_vertices = 2000;
+  p.num_edges = 10000;
+  p.seed = seed;
+  return generate_erdos_renyi(p);
+}
+
+/// er_edges(seed) with edge i reweighted to `weight(hash of i)`.  The (u, v)
+/// pairs are untouched, so the list stays normalized.
+CsrGraph reweighted(std::uint64_t seed,
+                    const std::function<Weight(std::uint64_t)>& weight) {
+  EdgeList list = er_edges(seed);
+  for (std::size_t i = 0; i < list.num_edges(); ++i) {
+    list.edges()[i].w = weight(SplitMix64::mix(seed * 1000003 + i));
   }
+  return csr(list);
+}
+
+/// Weights that vary only in the `varying` bits; the `fixed` bits keep the
+/// other digits constant but nonzero.
+std::function<Weight(std::uint64_t)> only(Weight varying, Weight fixed) {
+  return [=](std::uint64_t h) {
+    return (static_cast<Weight>(h) & varying) | fixed;
+  };
+}
+
+TEST_P(KruskalVariants, ParallelKruskalMatchesOracle) {
+  // kruskal radix-sorts the weight half of the packed priorities in three
+  // 11-bit passes and skips a pass whose digit every weight shares;
+  // kruskal_parallel merge-sorts the whole priority, so it is a reference
+  // that shares no sort code.  The inputs below hit every skip pattern.
+  const auto check = [&](const CsrGraph& g, const char* label) {
+    const MstResult r = kruskal(g);
+    EXPECT_EQ(kruskal_parallel(g, ctx_).edges, r.edges) << label;
+    const VerifyResult v = verify_msf(g, r);
+    EXPECT_TRUE(v.ok) << label << ": " << v.error;
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    check(csr(er_edges(seed)), "generator weights");
+    check(reweighted(seed, only(0, 7)), "all weights equal (no pass)");
+    check(reweighted(seed, only(0xffc00000u, 0x155555u)),
+          "weights differ in bits 22-31 only (last pass)");
+    check(reweighted(seed, only(0x003ff800u, 0xa0000005u)),
+          "weights differ in bits 11-21 only (middle pass)");
+    check(reweighted(seed, only(0x7ffu, 0x5a5a5800u)),
+          "weights differ in bits 0-10 only (first pass)");
+    check(reweighted(seed,
+                     [](std::uint64_t h) {
+                       switch (h % 3) {
+                         case 0: return Weight{0};
+                         case 1: return Weight{0xffffffffu};
+                         default: return static_cast<Weight>(h >> 32);
+                       }
+                     }),
+          "weights 0, 0xffffffff and random (all passes)");
+  }
+
+  check(csr(EdgeList(5)), "m = 0");
+  EdgeList one(3);
+  one.add_edge(0, 2, 0xffffffffu);
+  one.normalize();
+  check(csr(one), "m = 1");
+}
+
+TEST_P(KruskalVariants, KruskalPreCancelledScansNothing) {
+  const CsrGraph g = csr(er_edges(3));
+  CancelToken token;
+  token.cancel();
+  const MstResult r = kruskal_cancellable(g, &token);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
+  EXPECT_TRUE(r.edges.empty());
+  EXPECT_EQ(r.num_trees, g.num_vertices());
 }
 
 TEST_P(KruskalVariants, FilterKruskalMatchesOracle) {

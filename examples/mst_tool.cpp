@@ -38,6 +38,7 @@
 #include "obs/hw_counters.hpp"
 #include "obs/mem_stats.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase_timer.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/sched_events.hpp"
@@ -260,10 +261,7 @@ int main(int argc, char** argv) {
   // cost anything once these are on.
   const bool want_obs =
       !metrics_json.empty() || !trace_file.empty() || !stats_out.empty();
-  if (want_obs) {
-    obs::set_enabled(true);
-    obs::sched_start();  // per-worker event rings (no-op when compiled out)
-  }
+  if (want_obs) obs::set_enabled(true);
   // --profile-out needs the phase *stack* for sample attribution, but not
   // the timing aggregates — the stack-only gate keeps hot-loop PhaseTimer
   // scopes at a few relaxed stores each (full metrics subsume it).
@@ -304,7 +302,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Acquire the graph.
+  // --- Acquire the graph.  The pool exists from here on: the CSR build
+  // runs on it as well as the solve.
+  ThreadPool pool(static_cast<std::size_t>(threads));
   GraphFormat format = GraphFormat::kAuto;
   if (!parse_graph_format(graph_format, format)) {
     std::fprintf(stderr,
@@ -314,66 +314,76 @@ int main(int argc, char** argv) {
     return 2;
   }
   EdgeList list;
-  CsrGraph mounted;  // set when the input is an llpmstb snapshot
-  if (scen != nullptr) {
-    list = scen->make(static_cast<std::uint64_t>(seed));
-    std::printf("Scenario  : %s [%s] seed %lld\n", scen->name, scen->family,
-                static_cast<long long>(seed));
-    if (scen->deadline_ms > 0 && deadline_ms < 0) {
-      deadline_ms = scen->deadline_ms;
+  CsrGraph g;  // mounted here when the input is an llpmstb snapshot
+  {
+    obs::PhaseTimer acquire_phase("acquire");
+    if (scen != nullptr) {
+      list = scen->make(static_cast<std::uint64_t>(seed));
+      std::printf("Scenario  : %s [%s] seed %lld\n", scen->name, scen->family,
+                  static_cast<long long>(seed));
+      if (scen->deadline_ms > 0 && deadline_ms < 0) {
+        deadline_ms = scen->deadline_ms;
+      }
+    } else if (!input.empty() &&
+               (format == GraphFormat::kAuto ||
+                format == GraphFormat::kBinary) &&
+               is_binary_csr_file(input)) {
+      // Zero-parse path: mount the snapshot read-only.  No edge-list parse,
+      // no CSR rebuild — the kernel pages arc data in on demand.
+      Timer mt;
+      Expected<CsrGraph> m = read_binary_csr(input);
+      if (!m.ok()) {
+        std::fprintf(stderr, "error mounting %s: %s\n", input.c_str(),
+                     m.status().to_string().c_str());
+        return 1;
+      }
+      g = std::move(*m);
+      std::printf("Mounted   : %s (llpmstb snapshot, %s bytes mapped, "
+                  "load %s)\n",
+                  input.c_str(),
+                  format_count(g.storage()->mapped_bytes()).c_str(),
+                  format_duration_ms(mt.elapsed_ms()).c_str());
+    } else if (!input.empty()) {
+      Expected<EdgeList> loaded = read_graph(input, format);
+      if (!loaded.ok()) {
+        std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
+                     loaded.status().to_string().c_str());
+        // A format/magic contradiction is a usage error (the message names
+        // the detected format), not a runtime failure.
+        return loaded.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
+      }
+      list = std::move(*loaded);
+      std::printf("Loaded %s\n", input.c_str());
+    } else if (generate == "road") {
+      RoadParams p;
+      p.width = p.height = 1u << (scale / 2);
+      p.seed = static_cast<std::uint64_t>(seed);
+      list = generate_road_network(p);
+    } else if (generate == "rmat") {
+      RmatParams p;
+      p.scale = static_cast<int>(scale);
+      p.seed = static_cast<std::uint64_t>(seed);
+      list = generate_rmat(p);
+    } else if (generate == "er") {
+      ErdosRenyiParams p;
+      p.num_vertices = 1u << scale;
+      p.num_edges = (1ull << scale) * 8;
+      p.seed = static_cast<std::uint64_t>(seed);
+      list = generate_erdos_renyi(p);
+    } else {
+      std::fprintf(stderr, "unknown --generate '%s'\n", generate.c_str());
+      return 2;
     }
-  } else if (!input.empty() &&
-             (format == GraphFormat::kAuto || format == GraphFormat::kBinary) &&
-             is_binary_csr_file(input)) {
-    // Zero-parse path: mount the snapshot read-only.  No edge-list parse,
-    // no CSR rebuild — the kernel pages arc data in on demand.
-    Timer mt;
-    Expected<CsrGraph> m = read_binary_csr(input);
-    if (!m.ok()) {
-      std::fprintf(stderr, "error mounting %s: %s\n", input.c_str(),
-                   m.status().to_string().c_str());
-      return 1;
-    }
-    mounted = std::move(*m);
-    std::printf("Mounted   : %s (llpmstb snapshot, %s bytes mapped, "
-                "load %s)\n",
-                input.c_str(),
-                format_count(mounted.storage()->mapped_bytes()).c_str(),
-                format_duration_ms(mt.elapsed_ms()).c_str());
-  } else if (!input.empty()) {
-    Expected<EdgeList> loaded = read_graph(input, format);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "error reading %s: %s\n", input.c_str(),
-                   loaded.status().to_string().c_str());
-      // A format/magic contradiction is a usage error (the message names
-      // the detected format), not a runtime failure.
-      return loaded.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
-    }
-    list = std::move(*loaded);
-    std::printf("Loaded %s\n", input.c_str());
-  } else if (generate == "road") {
-    RoadParams p;
-    p.width = p.height = 1u << (scale / 2);
-    p.seed = static_cast<std::uint64_t>(seed);
-    list = generate_road_network(p);
-  } else if (generate == "rmat") {
-    RmatParams p;
-    p.scale = static_cast<int>(scale);
-    p.seed = static_cast<std::uint64_t>(seed);
-    list = generate_rmat(p);
-  } else if (generate == "er") {
-    ErdosRenyiParams p;
-    p.num_vertices = 1u << scale;
-    p.num_edges = (1ull << scale) * 8;
-    p.seed = static_cast<std::uint64_t>(seed);
-    list = generate_erdos_renyi(p);
-  } else {
-    std::fprintf(stderr, "unknown --generate '%s'\n", generate.c_str());
-    return 2;
   }
 
-  const CsrGraph g =
-      mounted.storage() != nullptr ? mounted : CsrGraph::build(list);
+  if (g.storage() == nullptr) {
+    obs::PhaseTimer build_phase("build");
+    Timer bt;
+    g = CsrGraph::build(list, &pool);
+    std::printf("Built     : CSR in %s (%lld threads)\n",
+                format_duration_ms(bt.elapsed_ms()).c_str(),
+                static_cast<long long>(threads));
+  }
   std::printf("Graph: %s\n", describe(compute_stats(g)).c_str());
 
   // --- Pack-and-exit: persist the built (or remounted) CSR as an llpmstb
@@ -396,7 +406,6 @@ int main(int argc, char** argv) {
   // --- Solve.  Under --sim the pool is replaced by the deterministic
   // simulator: same Executor surface, PRNG-chosen interleaving, virtual
   // clock feeding the deadline, recorded schedule trace.
-  ThreadPool pool(static_cast<std::size_t>(threads));
   ctx.attach_pool(pool);
   std::unique_ptr<llpmst::sim::SimExecutor> sim_exec;
   CancelToken sim_cancel;  // target of timeline `cancel` actions
@@ -435,6 +444,9 @@ int main(int argc, char** argv) {
   // the reported hw section covers the solve alone.
   const obs::HwSample hw_before =
       obs::hw_active() ? obs::hw_read() : obs::HwSample{};
+  // Per-worker scheduler event rings (no-op when compiled out) start here,
+  // after the build's team regions, so they describe the solve alone.
+  if (want_obs) obs::sched_start();
   Timer t;
   MstResult result;
   std::string used = algorithm;

@@ -1,14 +1,58 @@
 #include "graph/csr_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "parallel/parallel_for.hpp"
-#include "parallel/scan.hpp"
+#include "parallel/thread_pool.hpp"
+#include "support/radix_sort.hpp"
 
 namespace llpmst {
+
+namespace {
+
+/// Level 2's working record: one arc of a block, gathered from the level-1
+/// slices so the radix passes move it as a unit.
+struct BlockArc {
+  EdgePriority priority;
+  VertexId target;
+  std::uint32_t row;  // the source's offset inside its block
+};
+
+/// A source's offset inside its block is parked in its arc's one-byte
+/// mwe_flags slot between the two levels, so a block spans at most 2^8
+/// sources.
+constexpr unsigned kMaxBlockShift = 8;
+constexpr std::size_t kMaxBlockRows = std::size_t{1} << kMaxBlockShift;
+
+/// Blocks hold about this many arcs on average: two 16-byte BlockArc
+/// buffers of that size stay in L2.
+constexpr std::size_t kTargetBlockArcs = std::size_t{1} << 14;
+
+/// A block with more arcs than this holds a hub.  It is sorted in place by
+/// comparator instead, so its temporary is one copy of the block (16 B per
+/// arc) rather than two.  Blocks average at most kTargetBlockArcs arcs, so
+/// only hubs take this path.
+constexpr std::size_t kHubBlockArcs = std::size_t{1} << 18;
+
+/// How many arcs ahead the flag pass prefetches its target's minimum.
+constexpr std::size_t kFlagPrefetch = 16;
+
+/// log2 of the sources per block: the largest shift <= kMaxBlockShift whose
+/// blocks average at most kTargetBlockArcs arcs.
+unsigned block_shift(std::size_t n, std::size_t arcs) {
+  unsigned sh = 0;
+  while (sh < kMaxBlockShift && (arcs << (sh + 1)) <= kTargetBlockArcs * n) {
+    ++sh;
+  }
+  return sh;
+}
+
+}  // namespace
 
 CsrGraph CsrGraph::build(const EdgeList& list, Executor* pool) {
   LLPMST_CHECK_MSG(list.is_normalized(),
@@ -19,137 +63,141 @@ CsrGraph CsrGraph::build(const EdgeList& list, Executor* pool) {
 
   const std::size_t n = list.num_vertices();
   const std::size_t m = list.num_edges();
+  // Offsets are u64 regardless of platform so heap- and mmap-backed sections
+  // share one span type.
   std::vector<WeightedEdge> edges = list.edges();
-  std::vector<VertexId> targets;
-  std::vector<EdgePriority> priorities;
-  std::vector<EdgePriority> mwe;
-  std::vector<std::uint8_t> mwe_flags;
+  std::vector<std::uint64_t> offsets(n + 1);
+  std::vector<VertexId> targets(2 * m);
+  std::vector<EdgePriority> priorities(2 * m);
+  std::vector<EdgePriority> mwe(n);
+  std::vector<std::uint8_t> mwe_flags(2 * m);
 
-  // Degree counting.  The list is normalized (each edge appears once), so
-  // each edge contributes to both endpoints.  Offsets are u64 regardless of
-  // platform so heap- and mmap-backed sections share one span type.
-  std::vector<std::uint64_t> counts(n + 1, 0);
-  if (pool != nullptr && pool->num_threads() > 1) {
-    // Per-thread count arrays would be O(t*n); instead count with atomics —
-    // degrees are written once per arc, contention is negligible for m >> t.
-    std::vector<std::atomic<std::uint64_t>> acounts(n);
-    for (auto& c : acounts) c.store(0, std::memory_order_relaxed);
-    parallel_for(*pool, 0, m, [&](std::size_t i) {
-      const WeightedEdge& e = edges[i];
-      acounts[e.u].fetch_add(1, std::memory_order_relaxed);
-      acounts[e.v].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t v = 0; v < n; ++v) {
-      counts[v] = acounts[v].load(std::memory_order_relaxed);
+  // The build is one stable sort of the 2m arcs by (source, weight); arcs
+  // are produced in edge-id order, so stability leaves every row in
+  // (weight, id) == priority order.  It runs in two cache-sized levels over
+  // blocks of 2^sh consecutive sources.
+  const unsigned sh = block_shift(n, 2 * m);
+  const std::size_t num_blocks = (n + (std::size_t{1} << sh) - 1) >> sh;
+  // Without a pool the same code runs on a one-thread pool, which spawns no
+  // thread and runs every loop inline.
+  ThreadPool inline_pool(1);
+  Executor& ex = pool != nullptr ? *pool : inline_pool;
+  const std::size_t workers = ex.num_threads();
+
+  // Level 1: each worker takes one contiguous id range of edges, counts its
+  // arcs per block, then writes each arc's (target, priority) — and its
+  // source's row inside the block, into mwe_flags — to its own cursor in the
+  // block's slice of the final arrays.  Cursors are laid out block-major,
+  // worker-minor, so every slice is filled in edge-id order.
+  std::vector<std::uint64_t> cursor(workers * num_blocks, 0);
+  parallel_blocks(ex, 0, m, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+    std::uint64_t* count = cursor.data() + w * num_blocks;
+    for (std::size_t i = lo; i < hi; ++i) {
+      ++count[edges[i].u >> sh];
+      ++count[edges[i].v >> sh];
     }
-  } else {
-    for (const WeightedEdge& e : edges) {
-      ++counts[e.u];
-      ++counts[e.v];
+  });
+  std::vector<std::uint64_t> block_begin(num_blocks + 1);
+  std::uint64_t at = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    block_begin[b] = at;
+    for (std::size_t w = 0; w < workers; ++w) {
+      at += std::exchange(cursor[w * num_blocks + b], at);
     }
   }
-
-  // Exclusive scan -> row offsets.
-  if (pool != nullptr) {
-    exclusive_scan_inplace(*pool, counts);
-  } else {
-    std::uint64_t acc = 0;
-    for (auto& c : counts) {
-      std::uint64_t v = c;
-      c = acc;
-      acc += v;
-    }
-  }
-  std::vector<std::uint64_t> offsets = std::move(counts);  // n+1 offsets
-
-  // Fill arcs.  Write cursors per vertex; sequential fill keeps arcs sorted
-  // by (source, edge id).  The parallel fill uses atomic cursors — arc order
-  // within a row is then nondeterministic, which no algorithm relies on, but
-  // to keep *runs reproducible* we sort each row afterwards.
-  targets.resize(2 * m);
-  priorities.resize(2 * m);
-  if (pool != nullptr && pool->num_threads() > 1) {
-    std::vector<std::atomic<std::uint64_t>> cursor(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      cursor[v].store(offsets[v], std::memory_order_relaxed);
-    }
-    parallel_for(*pool, 0, m, [&](std::size_t i) {
+  block_begin[num_blocks] = at;
+  const VertexId row_mask = (VertexId{1} << sh) - 1;
+  parallel_blocks(ex, 0, m, [&](std::size_t lo, std::size_t hi, std::size_t w) {
+    std::uint64_t* next = cursor.data() + w * num_blocks;
+    for (std::size_t i = lo; i < hi; ++i) {
       const WeightedEdge& e = edges[i];
       const EdgePriority p = make_priority(e.w, static_cast<EdgeId>(i));
-      std::uint64_t su = cursor[e.u].fetch_add(1, std::memory_order_relaxed);
-      targets[su] = e.v;
-      priorities[su] = p;
-      std::uint64_t sv = cursor[e.v].fetch_add(1, std::memory_order_relaxed);
-      targets[sv] = e.u;
-      priorities[sv] = p;
-    });
-    // Canonicalize row order (by priority) so builds are deterministic.
-    parallel_for(*pool, 0, n, [&](std::size_t v) {
-      const std::size_t lo = offsets[v], hi = offsets[v + 1];
-      // Sort (priority, target) pairs by priority.
-      std::vector<std::pair<EdgePriority, VertexId>> row;
-      row.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        row.emplace_back(priorities[i], targets[i]);
-      }
-      std::sort(row.begin(), row.end());
-      for (std::size_t i = lo; i < hi; ++i) {
-        priorities[i] = row[i - lo].first;
-        targets[i] = row[i - lo].second;
-      }
-    }, /*chunk=*/64);
-  } else {
-    std::vector<std::uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t i = 0; i < m; ++i) {
-      const WeightedEdge& e = edges[i];
-      const EdgePriority p = make_priority(e.w, static_cast<EdgeId>(i));
-      targets[cursor[e.u]] = e.v;
-      priorities[cursor[e.u]] = p;
-      ++cursor[e.u];
-      targets[cursor[e.v]] = e.u;
-      priorities[cursor[e.v]] = p;
-      ++cursor[e.v];
+      const std::uint64_t cu = next[e.u >> sh]++;
+      targets[cu] = e.v;
+      priorities[cu] = p;
+      mwe_flags[cu] = static_cast<std::uint8_t>(e.u & row_mask);
+      const std::uint64_t cv = next[e.v >> sh]++;
+      targets[cv] = e.u;
+      priorities[cv] = p;
+      mwe_flags[cv] = static_cast<std::uint8_t>(e.v & row_mask);
     }
-    // Sequential fill emits rows in ascending edge-id order, which for a
-    // normalized list is ascending (u, v) but not ascending *priority*.
-    // Sort rows by priority to match the parallel build bit-for-bit.
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t lo = offsets[v], hi = offsets[v + 1];
-      std::vector<std::pair<EdgePriority, VertexId>> row;
-      row.reserve(hi - lo);
-      for (std::size_t i = lo; i < hi; ++i) {
-        row.emplace_back(priorities[i], targets[i]);
-      }
-      std::sort(row.begin(), row.end());
-      for (std::size_t i = lo; i < hi; ++i) {
-        priorities[i] = row[i - lo].first;
-        targets[i] = row[i - lo].second;
-      }
-    }
-  }
+  });
 
-  // Per-vertex minimum incident priority: rows are sorted, so it is the
-  // first arc of each non-empty row.
-  mwe.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    mwe[v] = (offsets[v] == offsets[v + 1]) ? kInfinitePriority
-                                            : priorities[offsets[v]];
-  }
+  // Level 2, per block and in cache: gather the slice, LSD-radix it by the
+  // weight digits that vary inside the block, then scatter it by row into
+  // the same slice (a hub's block is sorted by row and priority in place).
+  // Rows come out in priority order, so each row's first arc is its
+  // vertex's minimum incident priority.
+  std::vector<std::vector<BlockArc>> buffers(workers);
+  const auto sort_block = [&](std::size_t b, std::size_t w) {
+    std::vector<BlockArc>& buf = buffers[w];
+    const std::uint64_t lo = block_begin[b];
+    const std::size_t len = block_begin[b + 1] - lo;
+    const bool hub = len > kHubBlockArcs;
+    if (buf.size() < (hub ? len : 2 * len)) buf.resize(hub ? len : 2 * len);
+    const std::size_t first = b << sh;
+    const std::size_t rows = std::min(std::size_t{1} << sh, n - first);
+    std::array<std::uint64_t, kMaxBlockRows + 1> row_begin{};
+    Weight any = 0;
+    Weight all = ~Weight{0};
+    for (std::size_t i = 0; i < len; ++i) {
+      const BlockArc a{priorities[lo + i], targets[lo + i], mwe_flags[lo + i]};
+      buf[i] = a;
+      ++row_begin[a.row + 1];
+      any |= priority_weight(a.priority);
+      all &= priority_weight(a.priority);
+    }
+    row_begin[0] = lo;
+    for (std::size_t r = 0; r < rows; ++r) {
+      row_begin[r + 1] += row_begin[r];
+      offsets[first + r] = row_begin[r];
+    }
+    if (hub) {
+      // Priorities are unique, so (row, priority) is a total order.
+      std::sort(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(len),
+                [](const BlockArc& x, const BlockArc& y) {
+                  return x.row != y.row ? x.row < y.row
+                                        : x.priority < y.priority;
+                });
+      for (std::size_t i = 0; i < len; ++i) {
+        targets[lo + i] = buf[i].target;
+        priorities[lo + i] = buf[i].priority;
+      }
+    } else {
+      const std::span<BlockArc> sorted = lsd_radix_sort(
+          std::span<BlockArc>(buf.data(), len),
+          std::span<BlockArc>(buf.data() + len, len), any & ~all,
+          [](const BlockArc& a) { return priority_weight(a.priority); });
+      std::array<std::uint64_t, kMaxBlockRows> next;
+      std::copy_n(row_begin.begin(), rows, next.begin());
+      for (const BlockArc& a : sorted) {
+        const std::uint64_t c = next[a.row]++;
+        targets[c] = a.target;
+        priorities[c] = a.priority;
+      }
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      mwe[first + r] = row_begin[r] == row_begin[r + 1]
+                           ? kInfinitePriority
+                           : priorities[row_begin[r]];
+    }
+  };
+  parallel_for_worker(ex, 0, num_blocks, sort_block, /*chunk=*/1);
+  offsets[n] = 2 * m;
 
   // Per-arc MWE flags (see arc_mwe_flags): arc from v is flagged when its
-  // edge is the MWE of v or of the target.
-  mwe_flags.resize(2 * m);
+  // edge is the MWE of v or of the target.  This overwrites the rows parked
+  // in mwe_flags, and needs every block's minima.
   const auto fill_flags = [&](std::size_t v) {
     for (std::size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      if (i + kFlagPrefetch < 2 * m) {
+        __builtin_prefetch(&mwe[targets[i + kFlagPrefetch]]);
+      }
       const EdgePriority p = priorities[i];
       mwe_flags[i] = (p == mwe[v] || p == mwe[targets[i]]) ? 1 : 0;
     }
   };
-  if (pool != nullptr) {
-    parallel_for(*pool, 0, n, fill_flags, /*chunk=*/256);
-  } else {
-    for (std::size_t v = 0; v < n; ++v) fill_flags(v);
-  }
+  parallel_for(ex, 0, n, fill_flags, /*chunk=*/256);
 
   return from_storage(std::make_shared<HeapStorage>(
       std::move(offsets), std::move(targets), std::move(priorities),

@@ -37,9 +37,8 @@ class CsrGraph {
   CsrGraph() = default;
 
   /// Builds from a normalized edge list into owned heap storage.  If `pool`
-  /// is non-null the offsets and arcs are computed with parallel scans; the
-  /// result is identical either way.  LLPMST_CHECKs that the list is
-  /// normalized.
+  /// is non-null the arc placement and block sorts run on it; the result is
+  /// byte-identical either way.  LLPMST_CHECKs that the list is normalized.
   static CsrGraph build(const EdgeList& list, Executor* pool = nullptr);
 
   /// Wraps an already-validated storage backend (the mmap loader's entry

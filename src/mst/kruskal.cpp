@@ -1,14 +1,13 @@
 #include "mst/kruskal.hpp"
 
-#include <array>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/run_context.hpp"
 #include "ds/union_find.hpp"
 #include "obs/phase_timer.hpp"
 #include "support/failpoint.hpp"
+#include "support/radix_sort.hpp"
 
 namespace llpmst {
 
@@ -18,40 +17,8 @@ namespace {
 /// user cancel lands mid-scan rather than only at the end.
 constexpr std::size_t kScanStride = 1024;
 
-/// Radix digit width: 2^11 counters (16 KiB) stay in L1, and three passes
-/// cover the 32-bit weight half of a priority.
-constexpr unsigned kDigitBits = 11;
-constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
-constexpr Weight kDigitMask = kBuckets - 1;
-
 /// How many edges ahead the scan prefetches the edge record it will unite.
 constexpr std::size_t kPrefetchDistance = 16;
-
-/// Stable LSD radix sort of packed priorities by their weight half.  The
-/// keys arrive in id order, so stability leaves them in full (weight, id)
-/// order without ever looking at the id half.  `varying` has a bit set
-/// wherever two weights differ; a digit with no varying bit is the same for
-/// every key and its pass is skipped.  The token is polled before each
-/// pass: on cancellation the sort stops early, leaving the keys unordered,
-/// and the scan's poll at i == 0 reports the outcome before any key is used.
-void radix_sort_by_weight(std::vector<EdgePriority>& keys, Weight varying,
-                          const CancelToken* cancel) {
-  std::vector<EdgePriority> scatter;
-  for (unsigned bit = 0; bit < 32; bit += kDigitBits) {
-    if (((varying >> bit) & kDigitMask) == 0) continue;
-    if (cancel != nullptr && cancel->cancelled()) return;
-    if (scatter.empty()) scatter.resize(keys.size());
-    const unsigned shift = 32 + bit;
-    std::array<std::size_t, kBuckets> offset{};
-    for (const EdgePriority k : keys) ++offset[(k >> shift) & kDigitMask];
-    std::size_t sum = 0;
-    for (std::size_t& o : offset) sum += std::exchange(o, sum);
-    for (const EdgePriority k : keys) {
-      scatter[offset[(k >> shift) & kDigitMask]++] = k;
-    }
-    keys.swap(scatter);
-  }
-}
 }  // namespace
 
 MstResult kruskal(const CsrGraph& g) { return kruskal_cancellable(g, nullptr); }
@@ -76,7 +43,23 @@ MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
       any |= w;
       all &= w;
     }
-    radix_sort_by_weight(order, any & ~all, cancel);
+    // Stable LSD passes over the weight half only: the keys arrive in id
+    // order, so stability leaves them in full (weight, id) order.  The token
+    // is polled before the scratch buffer is allocated and before each
+    // pass: on cancellation the sort stops early, leaving the keys
+    // unordered, and the scan's poll at i == 0 reports the outcome before
+    // any key is used.
+    const auto stop = [cancel] {
+      return cancel != nullptr && cancel->cancelled();
+    };
+    const Weight varying = any & ~all;
+    if (varying != 0 && !stop()) {
+      std::vector<EdgePriority> scratch(m);
+      const std::span<EdgePriority> sorted = lsd_radix_sort(
+          std::span<EdgePriority>(order), std::span<EdgePriority>(scratch),
+          varying, [](EdgePriority k) { return priority_weight(k); }, stop);
+      if (sorted.data() == scratch.data()) order.swap(scratch);
+    }
   }
 
   MstResult r;

@@ -3,8 +3,6 @@
 // Sweeps the engine knobs independently:
 //   * pointer jumping: asynchronous/chaotic (LLP, with full path
 //     compression) vs bulk-synchronous rounds with barriers (baseline);
-//   * contraction dedup: keep parallel bundles (LLP) vs hash bundle-min
-//     filtering (baseline);
 //   * load balance: adaptive grain vs work stealing vs fixed chunks;
 //   * scratch: fresh per run vs caller-owned reuse across repetitions.
 // Reports wall time, rounds, and pointer-jump counts per configuration.
@@ -38,7 +36,7 @@ int main(int argc, char** argv) {
   ThreadPool pool(static_cast<std::size_t>(threads));
   RunContext ctx(pool);
 
-  Table t({"Graph", "Jumping", "Dedup", "LoadBalance", "Scratch", "Median",
+  Table t({"Graph", "Jumping", "LoadBalance", "Scratch", "Median",
            "Rounds", "PointerJumps"});
 
   const Workload workloads[] = {
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
       const std::string algo =
           std::string("engine jump=") +
           (config.jumping == PointerJumping::kAsynchronous ? "async" : "sync") +
-          " dedup=" + (config.dedup_contracted_edges ? "1" : "0") +
           " lb=" + lb_name(config.load_balance) +
           " scratch=" + (scratch != nullptr ? "reuse" : "fresh");
       BoruvkaConfig run = config;
@@ -79,43 +76,39 @@ int main(int argc, char** argv) {
           algo, w.graph, reference,
           [&] { return llp_boruvka_configured(w.graph, ctx, run); }, opts);
       const MstAlgoStats& s = m.last_result.stats;
-      t.add_row({w.name, jumping_cell,
-                 config.dedup_contracted_edges ? "yes" : "no",
-                 lb_name(config.load_balance),
+      t.add_row({w.name, jumping_cell, lb_name(config.load_balance),
                  scratch != nullptr ? "reuse" : "fresh", time_cell(m.time_ms),
                  format_count(s.rounds), format_count(s.pointer_jumps)});
     };
 
-    // Axis 1: the paper's knobs (jumping x dedup) at the default runtime.
+    // Axis 1: the paper's knob (async vs synchronized jumping) at the
+    // default runtime.
     for (const auto jumping :
          {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
-      for (const bool dedup : {false, true}) {
-        BoruvkaConfig config;
-        config.jumping = jumping;
-        config.dedup_contracted_edges = dedup;
-        run_config(config, nullptr);
-      }
+      BoruvkaConfig config;
+      config.jumping = jumping;
+      run_config(config, nullptr);
     }
 
     // Axis 2: the runtime knobs (scheduling policy, scratch reuse) at the
     // LLP-Boruvka configuration.  The adaptive/reuse row is what
     // llp_boruvka() would do with a persistent scratch; fixed/fresh is the
-    // pre-adaptive runtime.
+    // pre-adaptive runtime.  Axis 1's async row already is adaptive/fresh.
     BoruvkaScratch reused;
     for (const auto lb :
          {BoruvkaLoadBalance::kAdaptive, BoruvkaLoadBalance::kWorkStealing,
           BoruvkaLoadBalance::kFixedChunk}) {
       BoruvkaConfig config;
       config.load_balance = lb;
-      run_config(config, nullptr);
+      if (lb != BoruvkaLoadBalance::kAdaptive) run_config(config, nullptr);
       run_config(config, &reused);
     }
   }
 
   std::printf("Ablation: LLP-Boruvka engine knobs (threads=%lld)\n",
               static_cast<long long>(threads));
-  std::printf("(async+no-dedup = LLP-Boruvka; synchronized+dedup = the "
-              "parallel Boruvka baseline)\n\n");
+  std::printf("(async = LLP-Boruvka; synchronized = the parallel Boruvka "
+              "baseline)\n\n");
   t.print(csv);
   obs_cli.write_table(t);
   obs_cli.finish("bench_ablation_llp_boruvka");

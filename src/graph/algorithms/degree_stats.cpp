@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "graph/algorithms/connected_components.hpp"
+#include "ds/union_find.hpp"
 
 namespace llpmst {
 
@@ -24,18 +24,18 @@ GraphStats compute_stats(const CsrGraph& g) {
   s.edges_per_vertex =
       static_cast<double>(s.num_edges) / static_cast<double>(s.num_vertices);
 
+  // One in-place pass over the edges: weight range and components.
+  UnionFind uf(s.num_vertices);
   if (!g.edges().empty()) {
     s.min_weight = g.edges().front().w;
     s.max_weight = s.min_weight;
-    for (const WeightedEdge& e : g.edges()) {
-      s.min_weight = std::min(s.min_weight, e.w);
-      s.max_weight = std::max(s.max_weight, e.w);
-    }
   }
-
-  EdgeList list(g.num_vertices(),
-                {g.edges().begin(), g.edges().end()});
-  s.num_components = connected_components(list).num_components;
+  for (const WeightedEdge& e : g.edges()) {
+    s.min_weight = std::min(s.min_weight, e.w);
+    s.max_weight = std::max(s.max_weight, e.w);
+    uf.unite(e.u, e.v);
+  }
+  s.num_components = uf.num_sets();
   return s;
 }
 

@@ -9,7 +9,6 @@ MstResult llp_boruvka(const CsrGraph& g, RunContext& ctx) {
   // reuse capacity and grain feedback (see parallel_boruvka.cpp).
   BoruvkaConfig config;
   config.jumping = PointerJumping::kAsynchronous;
-  config.dedup_contracted_edges = false;
   config.obs_label = "llp_boruvka";
   config.scratch = &ctx.scratch().get<BoruvkaScratch>();
   return boruvka_engine(g, ctx, config);
@@ -22,7 +21,7 @@ MstResult llp_boruvka_configured(const CsrGraph& g, RunContext& ctx,
 
 MstAlgorithm llp_boruvka_algorithm() {
   return {"llp-boruvka", "LLP-Boruvka",
-          "Boruvka with async LLP pointer jumping, no dedup (Algorithm 6)",
+          "Boruvka with async LLP pointer jumping (Algorithm 6)",
           {.parallel = true, .msf_capable = true, .deterministic = true,
            .cancellable = true},
           [](const CsrGraph& g, RunContext& ctx) {

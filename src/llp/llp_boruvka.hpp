@@ -8,8 +8,8 @@
 // — evaluated "in parallel and without synchronization" (chaotic relaxed
 // atomics, no barrier between jumps); then edges are re-targeted to star
 // roots and self-loops dropped, and the algorithm recurses on the contracted
-// graph.  Compared to the synchronized baseline (mst/parallel_boruvka.hpp)
-// this removes the per-jump barriers and the contraction dedup sort.
+// graph.  The synchronized baseline (mst/parallel_boruvka.hpp) runs the same
+// engine and contraction; LLP-Boruvka removes its per-jump barriers.
 // Naturally computes minimum spanning *forests*.
 #pragma once
 
@@ -27,12 +27,11 @@ namespace llpmst {
 [[nodiscard]] MstAlgorithm llp_boruvka_algorithm();
 
 /// Ablation entry point: run LLP-Boruvka with explicit engine knobs (which
-/// pointer-jumping flavour, whether contraction dedups).  llp_boruvka() is
-/// configured {kAsynchronous, no dedup}; the baseline is {kSynchronized,
-/// dedup}.  Config fields override the context (config.cancel, when set,
-/// beats ctx.cancel_token(); config.scratch == nullptr means a fresh
-/// engine-internal scratch, NOT the context's — the ablation's
-/// scratch-reuse axis depends on that).
+/// pointer-jumping flavour, which load balance).  llp_boruvka() runs
+/// kAsynchronous; the baseline runs kSynchronized.  Config fields override
+/// the context (config.cancel, when set, beats ctx.cancel_token();
+/// config.scratch == nullptr means a fresh engine-internal scratch, NOT the
+/// context's — the ablation's scratch-reuse axis depends on that).
 [[nodiscard]] MstResult llp_boruvka_configured(const CsrGraph& g,
                                                RunContext& ctx,
                                                const BoruvkaConfig& config);

@@ -1,6 +1,7 @@
 #include "mst/boruvka_engine.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,20 +72,10 @@ struct ActiveEdgeView {
   [[nodiscard]] EdgePriority prio(std::size_t i) const { return e[i].prio; }
 };
 
-[[nodiscard]] std::size_t next_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-/// splitmix64 finalizer — mixes the packed (u, v) key into a table index.
-[[nodiscard]] inline std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
+/// Slot of the component pair (a, b), a < b, in the row-major triangular
+/// pair table: row b holds the b pairs (0, b) .. (b - 1, b).
+[[nodiscard]] inline std::size_t pair_slot(std::size_t a, std::size_t b) {
+  return b * (b - 1) / 2 + a;
 }
 
 /// One engine run.  Holds the per-run state so the round phases read as
@@ -111,8 +102,7 @@ struct Engine {
   std::size_t self_loops = 0;
   std::size_t bundle_dropped = 0;
   std::size_t k_new = 0;
-
-  static constexpr std::size_t kMaxProbes = 16;
+  bool pair_table = false;  // the bundle minimum ran through the pair table
 
   Engine(const CsrGraph& graph, Executor& p, const BoruvkaConfig& c,
          BoruvkaScratch& scratch)
@@ -281,133 +271,57 @@ struct Engine {
     }
   }
 
-  /// Bundle-min filter: claim-or-merge a (u, v) pair slot.  Linear probing,
-  /// capped; giving up keeps the edge (safe: extra parallel edges only cost
-  /// list length, never correctness).
-  void filter_install(VertexId a, VertexId b, EdgePriority p,
-                      std::size_t mask) {
-    if (a > b) std::swap(a, b);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(a) << 32) | b;  // a < b, so key != 0
-    std::size_t idx = static_cast<std::size_t>(mix64(key)) & mask;
-    for (std::size_t probe = 0; probe < kMaxProbes;
-         ++probe, idx = (idx + 1) & mask) {
-      std::atomic_ref<std::uint64_t> kref(s.filter_key[idx]);
-      std::uint64_t cur = kref.load(std::memory_order_relaxed);
-      if (cur == 0 &&
-          kref.compare_exchange_strong(cur, key, std::memory_order_relaxed,
-                                       std::memory_order_relaxed)) {
-        cur = key;  // claimed the slot
-      }
-      if (cur == key) {
-        prio_fetch_min(s.filter_min[idx], p);
-        return;
-      }
-    }
-  }
-
-  /// True iff the edge survives the bundle-min filter: dropped only when its
-  /// pair's slot is found AND holds a strictly lighter priority.
-  [[nodiscard]] bool filter_keeps(VertexId a, VertexId b, EdgePriority p,
-                                  std::size_t mask) const {
-    if (a > b) std::swap(a, b);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    std::size_t idx = static_cast<std::size_t>(mix64(key)) & mask;
-    for (std::size_t probe = 0; probe < kMaxProbes;
-         ++probe, idx = (idx + 1) & mask) {
-      const std::uint64_t cur = s.filter_key[idx];
-      if (cur == 0) return true;  // never installed
-      if (cur == key) return s.filter_min[idx] >= p;
-      // >= : priorities are unique, so == means "this edge IS the minimum".
-    }
-    return true;  // probe cap: filter gave up on this pair
-  }
-
   /// Contraction: relabel surviving edges to the next round's dense root
-  /// space, dropping self-loops (and bundle-heavy edges when filtering) in
-  /// the same chunked sweeps, and fold the next round's per-component MWE
-  /// minima into the emit pass while the edge is in cache.  Chunk-indexed
-  /// stream compaction keeps the output in deterministic (input) order.
+  /// space, dropping self-loops, and fold the next round's per-component MWE
+  /// minima into the emit pass while the edge is in cache.  When the
+  /// triangular pair table over the new ids is no larger than the surviving
+  /// edge list, only each component pair's lightest edge survives (the cycle
+  /// property makes the heavier ones provably non-MSF); otherwise every
+  /// survivor is relabeled as is.  Both paths are exact and their output
+  /// does not depend on the thread count.
   template <typename View>
   void contract(const View& ev) {
     obs::PhaseTimer span("contract");
     const std::size_t me = ev.size();
-    const bool filter = cfg.dedup_contracted_edges;
     const std::size_t grain = s.contract_grain.grain(me, threads);
-    const std::size_t nc = (me + grain - 1) / grain;
     const std::uint64_t t0 = detail::grain_clock_ns();
-    s.chunk_count.assign(nc, 0);
+    s.chunk_count.assign((me + grain - 1) / grain, 0);
     s.dense.assign(k, 0);  // live-root marks, scanned into dense ids below
 
-    std::size_t mask = 0;
-    if (filter) {
-      const std::size_t slots = next_pow2(std::max<std::size_t>(64, 2 * me));
-      mask = slots - 1;
-      if (s.filter_key.size() < slots) {
-        s.filter_key.resize(slots);
-        s.filter_min.resize(slots);
-      }
-      parallel_for_static(pool, 0, slots, [this](std::size_t i) {
-        s.filter_key[i] = 0;
-        s.filter_min[i] = kInfinitePriority;
-      });
-    }
-
-    // Pass A: mark live roots, count survivors (exact without the filter;
-    // with it, install bundle minima first and recount in pass B once the
-    // table is frozen).
-    parallel_chunks(
-        pool, 0, me, grain,
-        [this, &ev, grain, filter, mask](std::size_t lo, std::size_t hi,
-                                         std::size_t) {
-          const std::size_t ci = lo / grain;
-          std::size_t alive = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const VertexId cu = s.parent[ev.u(i)];
-            const VertexId cv = s.parent[ev.v(i)];
-            if (cu == cv) continue;
-            ++alive;
-            rel_store(s.dense[cu], 1);
-            rel_store(s.dense[cv], 1);
-            if (filter) filter_install(cu, cv, ev.prio(i), mask);
-          }
-          s.chunk_count[ci] = alive;
-        });
+    // Pass A: count survivors per chunk and mark live roots.  A mark is
+    // stored only while it still reads 0: with few live roots, a store per
+    // edge would keep every worker writing the same cache lines.
+    parallel_chunks(pool, 0, me, grain,
+                    [this, &ev, grain](std::size_t lo, std::size_t hi,
+                                       std::size_t) {
+                      std::size_t alive = 0;
+                      for (std::size_t i = lo; i < hi; ++i) {
+                        const VertexId cu = s.parent[ev.u(i)];
+                        const VertexId cv = s.parent[ev.v(i)];
+                        if (cu == cv) continue;
+                        ++alive;
+                        mark_live(cu);
+                        mark_live(cv);
+                      }
+                      s.chunk_count[lo / grain] = alive;
+                    });
     std::size_t alive_total = 0;
-    for (std::size_t ci = 0; ci < nc; ++ci) alive_total += s.chunk_count[ci];
+    for (const std::size_t c : s.chunk_count) alive_total += c;
     self_loops = me - alive_total;
-
-    if (filter) {
-      parallel_chunks(pool, 0, me, grain,
-                      [this, &ev, grain, mask](std::size_t lo, std::size_t hi,
-                                               std::size_t) {
-                        const std::size_t ci = lo / grain;
-                        std::size_t cnt = 0;
-                        for (std::size_t i = lo; i < hi; ++i) {
-                          const VertexId cu = s.parent[ev.u(i)];
-                          const VertexId cv = s.parent[ev.v(i)];
-                          if (cu != cv &&
-                              filter_keeps(cu, cv, ev.prio(i), mask)) {
-                            ++cnt;
-                          }
-                        }
-                        s.chunk_count[ci] = cnt;
-                      });
-    }
-
-    // Exclusive scan of the per-chunk counts -> output offsets (nc is tiny).
-    kept = 0;
-    for (std::size_t ci = 0; ci < nc; ++ci) {
-      const std::size_t c = s.chunk_count[ci];
-      s.chunk_count[ci] = kept;
-      kept += c;
-    }
-    bundle_dropped = alive_total - kept;
 
     // Dense relabeling: scan the live marks into the next round's component
     // ids.  Every per-component array of the next round is k_new long — the
     // whole working set shrinks at least geometrically with the rounds.
     k_new = static_cast<std::size_t>(exclusive_scan_inplace(pool, s.dense));
+    s.best.assign(k_new, kInfinitePriority);
+    const std::size_t pairs = pair_slot(0, k_new);
+    pair_table = k_new >= 2 && pairs <= alive_total;
+    if (pair_table) {
+      bundle_min(ev, grain, pairs);
+    } else {
+      relabel(ev, grain);
+    }
+    bundle_dropped = alive_total - kept;
 
     // Testing hook: gather the dropped original edge ids (sequential; the
     // observer path is cold by contract).
@@ -416,35 +330,12 @@ struct Engine {
       for (std::size_t i = 0; i < me; ++i) {
         const VertexId cu = s.parent[ev.u(i)];
         const VertexId cv = s.parent[ev.v(i)];
-        if (cu == cv || (filter && !filter_keeps(cu, cv, ev.prio(i), mask))) {
+        if (cu == cv ||
+            (pair_table && s.pair_min[slot_of(cu, cv)] != ev.prio(i))) {
           s.dropped.push_back(priority_edge(ev.prio(i)));
         }
       }
     }
-
-    // Pass C: emit survivors at their scanned offsets, relabeled to dense
-    // ids, and fold the next round's MWE minima in the same touch.
-    s.best.assign(k_new, kInfinitePriority);
-    s.next_edges.resize(kept);
-    parallel_chunks(
-        pool, 0, me, grain,
-        [this, &ev, grain, filter, mask](std::size_t lo, std::size_t hi,
-                                         std::size_t) {
-          const std::size_t ci = lo / grain;
-          std::size_t pos = s.chunk_count[ci];
-          for (std::size_t i = lo; i < hi; ++i) {
-            const VertexId cu = s.parent[ev.u(i)];
-            const VertexId cv = s.parent[ev.v(i)];
-            if (cu == cv) continue;
-            const EdgePriority p = ev.prio(i);
-            if (filter && !filter_keeps(cu, cv, p, mask)) continue;
-            const VertexId du = s.dense[cu];
-            const VertexId dv = s.dense[cv];
-            s.next_edges[pos++] = {du, dv, p};
-            prio_fetch_min(s.best[du], p);
-            prio_fetch_min(s.best[dv], p);
-          }
-        });
 
     // The old component space is dead: shrink the per-component arrays and
     // re-establish identity parents for the dense space.
@@ -455,6 +346,105 @@ struct Engine {
     });
     s.contract_grain.update(me,
                             static_cast<double>(detail::grain_clock_ns() - t0));
+  }
+
+  void mark_live(VertexId c) {
+    if (rel_load(s.dense[c]) == 0) rel_store(s.dense[c], 1);
+  }
+
+  /// Pair-table slot of the edge between live roots cu != cv.
+  [[nodiscard]] std::size_t slot_of(VertexId cu, VertexId cv) const {
+    const VertexId du = s.dense[cu];
+    const VertexId dv = s.dense[cv];
+    return du < dv ? pair_slot(du, dv) : pair_slot(dv, du);
+  }
+
+  /// Turns the per-chunk counts into exclusive output offsets (the chunk
+  /// count is tiny) and sizes the output list to their total.
+  void scan_chunk_counts() {
+    kept = 0;
+    for (std::size_t& c : s.chunk_count) kept += std::exchange(c, kept);
+    s.next_edges.resize(kept);
+  }
+
+  /// Relabel path: emit every survivor at its chunk's scanned offset, so the
+  /// output keeps input order.
+  template <typename View>
+  void relabel(const View& ev, std::size_t grain) {
+    scan_chunk_counts();
+    parallel_chunks(pool, 0, ev.size(), grain,
+                    [this, &ev, grain](std::size_t lo, std::size_t hi,
+                                       std::size_t) {
+                      std::size_t pos = s.chunk_count[lo / grain];
+                      for (std::size_t i = lo; i < hi; ++i) {
+                        const VertexId cu = s.parent[ev.u(i)];
+                        const VertexId cv = s.parent[ev.v(i)];
+                        if (cu == cv) continue;
+                        const EdgePriority p = ev.prio(i);
+                        const VertexId du = s.dense[cu];
+                        const VertexId dv = s.dense[cv];
+                        s.next_edges[pos++] = {du, dv, p};
+                        prio_fetch_min(s.best[du], p);
+                        prio_fetch_min(s.best[dv], p);
+                      }
+                    });
+  }
+
+  /// Bundle-minimum path: every survivor lowers its pair's slot, then the
+  /// finite slots are emitted in row order.  The table's init and scans are
+  /// bounded by the surviving edges it replaces.
+  template <typename View>
+  void bundle_min(const View& ev, std::size_t grain, std::size_t pairs) {
+    if (s.pair_min.size() < pairs) s.pair_min.resize(pairs);
+    parallel_for_static(pool, 0, pairs, [this](std::size_t i) {
+      s.pair_min[i] = kInfinitePriority;
+    });
+    parallel_chunks(pool, 0, ev.size(), grain,
+                    [this, &ev](std::size_t lo, std::size_t hi, std::size_t) {
+                      for (std::size_t i = lo; i < hi; ++i) {
+                        const VertexId cu = s.parent[ev.u(i)];
+                        const VertexId cv = s.parent[ev.v(i)];
+                        if (cu == cv) continue;
+                        prio_fetch_min(s.pair_min[slot_of(cu, cv)], ev.prio(i));
+                      }
+                    });
+
+    const std::size_t tg = s.contract_grain.grain(pairs, threads);
+    s.chunk_count.assign((pairs + tg - 1) / tg, 0);
+    parallel_chunks(pool, 0, pairs, tg,
+                    [this, tg](std::size_t lo, std::size_t hi, std::size_t) {
+                      std::size_t cnt = 0;
+                      for (std::size_t i = lo; i < hi; ++i) {
+                        cnt += s.pair_min[i] != kInfinitePriority;
+                      }
+                      s.chunk_count[lo / tg] = cnt;
+                    });
+    scan_chunk_counts();
+    parallel_chunks(
+        pool, 0, pairs, tg,
+        [this, tg](std::size_t lo, std::size_t hi, std::size_t) {
+          std::size_t pos = s.chunk_count[lo / tg];
+          // Row b of the chunk's first slot: b(b-1)/2 <= lo < b(b+1)/2.
+          auto b = static_cast<std::size_t>(
+              (1.0 + std::sqrt(1.0 + 8.0 * static_cast<double>(lo))) / 2.0);
+          while (pair_slot(0, b) > lo) --b;
+          while (pair_slot(0, b + 1) <= lo) ++b;
+          std::size_t a = lo - pair_slot(0, b);
+          for (std::size_t i = lo; i < hi; ++i) {
+            const EdgePriority p = s.pair_min[i];
+            if (p != kInfinitePriority) {
+              const auto da = static_cast<VertexId>(a);
+              const auto db = static_cast<VertexId>(b);
+              s.next_edges[pos++] = {da, db, p};
+              prio_fetch_min(s.best[da], p);
+              prio_fetch_min(s.best[db], p);
+            }
+            if (++a == b) {
+              ++b;
+              a = 0;
+            }
+          }
+        });
   }
 
   MstResult run() {
@@ -535,6 +525,7 @@ struct Engine {
       if (cfg.round_observer) {
         info.self_loops_dropped = self_loops;
         info.bundle_edges_dropped = bundle_dropped;
+        info.pair_table = pair_table;
         info.components_after = k_new;
         info.edges_after = kept;
         info.dropped_edge_ids = cfg.collect_dropped_edges ? &s.dropped : nullptr;

@@ -15,9 +15,10 @@
 //   3. pointer jumping until every component is a rooted star — THIS is
 //      where the two algorithms differ (see PointerJumping below);
 //   4. contraction — relabel surviving edges into a *dense* component id
-//      space [0, k), drop self-loops (and optionally bundle-heavy parallel
-//      edges, see dedup_contracted_edges) in the same pass, and compute the
-//      next round's per-component minima while the edge data is in cache.
+//      space [0, k), drop self-loops in the same pass, keep only the lightest
+//      edge per component pair once the pair table over [0, k) fits in the
+//      surviving edge list, and compute the next round's per-component
+//      minima while the edge data is in cache.
 //
 // Cache design: after round 0 the engine leaves the original vertex-id space
 // entirely — every per-component array (parent, best, partner) is sized to
@@ -77,6 +78,7 @@ struct BoruvkaRoundStats {
   std::size_t msf_edges_emitted = 0;
   std::size_t self_loops_dropped = 0;    // intra-component edges contracted
   std::size_t bundle_edges_dropped = 0;  // heavier parallel edges filtered
+  bool pair_table = false;               // one edge kept per component pair
   std::size_t components_after = 0;      // live components after contraction
   std::size_t edges_after = 0;
   /// Original edge ids dropped this round, populated only when
@@ -111,24 +113,15 @@ struct BoruvkaScratch {
   std::vector<EdgeId> msf_edges;       // emitted MSF edges (atomic cursor)
   std::vector<std::size_t> chunk_count;   // per-chunk survivor counts
   std::vector<std::uint64_t> worker_ns;   // per-worker sweep times (skew)
-  std::vector<std::uint64_t> filter_key;  // bundle-min hash: packed (u,v)
-  std::vector<EdgePriority> filter_min;   // bundle-min hash: lightest prio
+  std::vector<EdgePriority> pair_min;     // bundle minimum per component pair
   std::vector<EdgeId> dropped;            // collect_dropped_edges gather
   GrainFeedback extract_grain;  // MWE extract sweep (reads, rare writes)
-  GrainFeedback contract_grain;  // contraction sweeps (relabel + filter)
+  GrainFeedback contract_grain;  // contraction sweeps (edges, pair table)
   GrainFeedback vertex_grain;    // per-component sweeps (hook, jumping)
 };
 
 struct BoruvkaConfig {
   PointerJumping jumping = PointerJumping::kAsynchronous;
-  /// Drop all but the lightest parallel edge between each pair of components
-  /// during contraction (the cycle property makes the heavier ones provably
-  /// non-MSF).  Implemented as a sort-free hash bundle-min fused into the
-  /// contraction sweeps: best effort under collisions — a kept duplicate is
-  /// only a longer edge list, never a wrong forest.  The baseline engine
-  /// enables it; LLP-Boruvka skips it, trading a longer edge list for one
-  /// less sweep per round.
-  bool dedup_contracted_edges = false;
   /// Scheduling policy for the per-round sweeps.
   BoruvkaLoadBalance load_balance = BoruvkaLoadBalance::kAdaptive;
   /// Prefix for observability metrics/phases ("<obs_label>/round/hook", ...)

@@ -18,6 +18,10 @@ namespace llpmst {
 class RunContext;
 
 /// The filter step runs on ctx.executor(); unions stay sequential.
+/// ctx.cancel_token() (when set) and the "filter_kruskal/scan" failpoint are
+/// polled every 1024 edges of every partition, filter and base-case pass; a
+/// stop yields result.stats.outcome != kOk with the PARTIAL forest united so
+/// far.
 [[nodiscard]] MstResult filter_kruskal(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm filter_kruskal_algorithm();

@@ -12,7 +12,6 @@ MstResult parallel_boruvka(const CsrGraph& g, RunContext& ctx) {
   // re-measuring from scratch every call.
   BoruvkaConfig config;
   config.jumping = PointerJumping::kSynchronized;
-  config.dedup_contracted_edges = true;
   config.obs_label = "parallel_boruvka";
   config.scratch = &ctx.scratch().get<BoruvkaScratch>();
   return boruvka_engine(g, ctx, config);
@@ -20,7 +19,7 @@ MstResult parallel_boruvka(const CsrGraph& g, RunContext& ctx) {
 
 MstAlgorithm parallel_boruvka_algorithm() {
   return {"parallel-boruvka", "Boruvka",
-          "bulk-synchronous Boruvka: atomic MWE, sync jumping, dedup",
+          "bulk-synchronous Boruvka: sync jumping, exact bundle-min contraction",
           {.parallel = true, .msf_capable = true, .deterministic = true,
            .cancellable = true},
           [](const CsrGraph& g, RunContext& ctx) {

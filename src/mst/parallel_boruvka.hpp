@@ -1,7 +1,8 @@
 // Parallel Boruvka baseline ("Boruvka" in Figs. 3-4): the conventional
 // bulk-synchronous formulation in the style of GBBS — atomic MWE selection,
 // id-symmetry-broken hooking, *synchronized* pointer-jumping rounds, and
-// deduplicating contraction.  Handles forests (MSF).
+// the engine's exact bundle-minimum contraction, which LLP-Boruvka shares.
+// Handles forests (MSF).
 #pragma once
 
 #include "mst/registry.hpp"

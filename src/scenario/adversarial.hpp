@@ -3,7 +3,7 @@
 // The paper evaluates two workload families (graph500 RMAT and USA roads).
 // These generators target the *implementation's* weak points instead:
 // near-duplicate weights stress priority tie-breaking, bundle-heavy
-// multigraphs stress the contraction dedup's bounded probe cap, and hybrids
+// multigraphs stress the contraction's bundle minimum, and hybrids
 // mix morphologies so no single scheduling heuristic fits the whole graph.
 // All are deterministic in (params, seed).
 #pragma once
@@ -21,8 +21,8 @@ struct BundleHeavyParams {
   std::uint32_t cluster_size = 24;
   /// Heavy inter-cluster edges per cluster pair (distinct endpoint pairs, so
   /// normalize() keeps them all).  After round 1 every one of them becomes a
-  /// parallel edge of the same super-pair — a bundle the dedup probe cap
-  /// (BoruvkaConfig::filter kMaxProbes) must survive.
+  /// parallel edge of the same super-pair — a bundle the contraction's pair
+  /// table must cut to its lightest edge.
   std::uint32_t bundle_width = 48;
   std::uint64_t seed = 1;
 };

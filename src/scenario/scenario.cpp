@@ -67,7 +67,8 @@ EdgeList make_bundles(std::uint64_t seed) {
 }
 
 EdgeList make_bundle_storm(std::uint64_t seed) {
-  // Bundles wider than the dedup probe cap by an order of magnitude.
+  // Few components, many edges: 12 super-vertices joined by 160-edge
+  // bundles after round 1.
   BundleHeavyParams p;
   p.clusters = 12;
   p.cluster_size = 16;
@@ -138,11 +139,11 @@ const std::vector<Scenario>& registry() {
        make_uniform_ties, {.connected = false, .min_components = 1}, "", 0},
       {"bundle-heavy", "bundles",
        "clusters collapse in round 1, leaving wide parallel bundles that "
-       "stress the contraction dedup probe cap",
+       "the contraction's pair table must cut to their minima",
        make_bundles, {.connected = true, .min_components = 1}, "", 0},
       {"bundle-storm", "bundles",
-       "bundles an order of magnitude wider than the dedup probe cap: the "
-       "give-up path must stay exact",
+       "160-edge bundles between 12 super-vertices: few components, many "
+       "edges",
        make_bundle_storm, {.connected = true, .min_components = 1}, "", 0},
       {"geo-road-hybrid", "hybrid",
        "road grid + geometric cloud + random bridges: two morphologies, one "

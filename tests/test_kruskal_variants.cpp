@@ -3,6 +3,7 @@
 // specific mechanics.)
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 
 #include "graph/generators/random_graph.hpp"
@@ -13,6 +14,7 @@
 #include "mst/kruskal_parallel.hpp"
 #include "mst/verifier.hpp"
 #include "support/cancel.hpp"
+#include "support/failpoint.hpp"
 #include "support/random.hpp"
 #include "test_util.hpp"
 
@@ -127,6 +129,56 @@ TEST_P(KruskalVariants, FilterKruskalOnForest) {
   const MstResult r = filter_kruskal(g, ctx_);
   EXPECT_EQ(r.edges, kruskal(g).edges);
   EXPECT_EQ(r.num_trees, 4u);
+}
+
+/// Disarms every failpoint when the test scope ends, even on ASSERT exits.
+struct DisarmFailpoints {
+  ~DisarmFailpoints() { fail::disarm_all(); }
+};
+
+TEST_P(KruskalVariants, FilterKruskalStopsWithinOneStrideOfADeadline) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  // Every 1024-edge poll stalls 1 ms, so the top-level partition and the
+  // partitions down the light half poll about 2m / 1024 >= 500 times before
+  // the first filter: unbudgeted, the run takes well over 500 ms.  A 50 ms
+  // deadline lands in the top-level partition and must stop it there.
+  ErdosRenyiParams p;
+  p.num_vertices = 60000;
+  p.num_edges = 300000;
+  p.seed = 17;
+  const CsrGraph g = csr(generate_erdos_renyi(p));
+  ASSERT_GE(2 * g.num_edges() / 1024, 500u);
+
+  DisarmFailpoints disarm;
+  ASSERT_TRUE(fail::arm("filter_kruskal/scan", "sleep(1000)"));
+  CancelToken token;
+  token.set_deadline_after_ms(50);
+  ctx_.set_cancel(&token);
+  const auto start = std::chrono::steady_clock::now();
+  const MstResult r = filter_kruskal(g, ctx_);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  ctx_.set_cancel(nullptr);
+
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kDeadlineExceeded);
+  // One stride past the deadline is a 1 ms stall plus 1024 edges of work;
+  // the rest of the allowance is scheduling noise on a loaded host.
+  EXPECT_LT(elapsed_ms, 150.0);
+  EXPECT_LT(fail::hit_count("filter_kruskal/scan"), 500u);
+  // Stopped inside the top-level partition: no base case has united an
+  // edge yet, so the partial forest is empty.
+  EXPECT_TRUE(r.edges.empty());
+  EXPECT_EQ(r.num_trees, g.num_vertices());
+}
+
+TEST_P(KruskalVariants, FilterKruskalInjectedFaultStopsTheRun) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  DisarmFailpoints disarm;
+  ASSERT_TRUE(fail::arm("filter_kruskal/scan", "return"));
+  const MstResult r = filter_kruskal(csr(er_edges(4)), ctx_);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kInjectedFault);
+  EXPECT_TRUE(r.edges.empty());
 }
 
 TEST_P(KruskalVariants, ParallelKruskalOnRmat) {

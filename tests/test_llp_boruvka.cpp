@@ -33,15 +33,11 @@ TEST_P(LlpBoruvka, AllEngineConfigsProduceTheMsf) {
   const MstResult reference = kruskal(g);
   for (const auto jumping :
        {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
-    for (const bool dedup : {false, true}) {
-      BoruvkaConfig c;
-      c.jumping = jumping;
-      c.dedup_contracted_edges = dedup;
-      const MstResult r = llp_boruvka_configured(g, ctx_, c);
-      ASSERT_EQ(r.edges, reference.edges)
-          << "async=" << (jumping == PointerJumping::kAsynchronous)
-          << " dedup=" << dedup;
-    }
+    BoruvkaConfig c;
+    c.jumping = jumping;
+    const MstResult r = llp_boruvka_configured(g, ctx_, c);
+    ASSERT_EQ(r.edges, reference.edges)
+        << "async=" << (jumping == PointerJumping::kAsynchronous);
   }
 }
 
@@ -87,8 +83,8 @@ TEST_P(LlpBoruvka, MutualMweSymmetryBreaking) {
 }
 
 TEST_P(LlpBoruvka, ParallelEdgeBundlesWithoutDedup) {
-  // Contracted multigraphs: a 4-cycle with chords contracts into parallel
-  // bundle edges; no-dedup must still pick each component's true minimum.
+  // Contracted multigraphs: two triangles contract into one parallel
+  // bundle; the contraction must keep the bundle's true minimum.
   EdgeList list(6);
   // Two triangles bridged by three parallel-ish paths of different weight.
   list.add_edge(0, 1, 1);

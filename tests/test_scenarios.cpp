@@ -1,6 +1,6 @@
 // Adversarial scenario suite: registry invariants, registry-wide
-// conformance against the sequential Kruskal oracle, and the bundle-dedup
-// probe-cap regression the bundle-heavy generator exists to pin.
+// conformance against the sequential Kruskal oracle, and the wide-bundle
+// regression the bundle-heavy generator exists to pin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -118,13 +118,13 @@ TEST(ScenarioConformance, CheckerRejectsACorruptedForest) {
   EXPECT_NE(check_scenario_result(*s, g, r), "");
 }
 
-// --------------------------------------------- bundle-dedup cap regression
+// ------------------------------------------------- wide-bundle regression
 
-// The PR 4 contraction dedup bounds its hash-probe chain (kMaxProbes) and
-// falls back to keeping duplicates when a bundle blows the cap — correctness
-// must not depend on dedup succeeding.  The bundle generators exist to force
-// that overflow; 20 seeds of both widths must stay bit-identical to Kruskal
-// through the engine that owns the cap.
+// Wide bundles between few super-vertices are where the Boruvka
+// contraction's pair table does its work: every bundle must shrink to its
+// lightest edge, never lose it.  (The test names predate the pair table;
+// they pinned the hash dedup's probe cap it replaced.)  20 seeds of both
+// widths must stay bit-identical to Kruskal through both engine entries.
 TEST(BundleDedupRegression, ProbeCapOverflowStaysExactAcrossTwentySeeds) {
   const char* algos[] = {"parallel-boruvka", "llp-boruvka"};
   ThreadPool pool(4);
@@ -151,9 +151,9 @@ TEST(BundleDedupRegression, ProbeCapOverflowStaysExactAcrossTwentySeeds) {
 }
 
 TEST(BundleDedupRegression, BundleWidthsActuallyExceedTheProbeCap) {
-  // Guard the generator against silently shrinking below the cap it is
-  // meant to stress: bundle-storm must produce super-pairs with well over
-  // 64 parallel edges after round-1 contraction (cluster = s vertices).
+  // Guard the generator against silently shrinking its bundles: bundle-storm
+  // must produce super-pairs with well over 64 parallel edges after round-1
+  // contraction (cluster = s vertices).
   BundleHeavyParams p;
   p.clusters = 12;
   p.cluster_size = 16;

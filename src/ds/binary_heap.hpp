@@ -3,15 +3,16 @@
 // This is the heap of Prim's Algorithm 2: items are identified by a dense
 // integer id in [0, capacity); each id is in the heap at most once; and
 // `insert_or_adjust(id, key)` inserts the id or lowers its key in O(log n).
-// A position index (id -> heap slot) makes decrease-key possible.
+// A position index (id -> heap slot, stored as an Id: ids and slots are both
+// below capacity) makes decrease-key and erase possible.
 //
 // Keys are a template parameter; MST code instantiates Key = EdgePriority
 // (packed weight|edge_id, see graph/types.hpp), so ties are impossible and
 // pop order is deterministic.
 //
-// Operation counters (pushes/pops/adjusts/sift steps) are kept unconditionally
-// — they cost one increment on paths that do O(log n) work anyway and they
-// are what the Fig. 2 ablation reports.
+// Operation counters (pushes/pops/adjusts/erases/sift steps) are kept
+// unconditionally — they cost one increment on paths that do O(log n) work
+// anyway and they are what the Fig. 2 ablation reports.
 #pragma once
 
 #include <cstddef>
@@ -28,12 +29,14 @@ struct HeapStats {
   std::uint64_t pushes = 0;        // new ids inserted
   std::uint64_t pops = 0;          // remove-min calls
   std::uint64_t adjusts = 0;       // decrease-key on a resident id
+  std::uint64_t erases = 0;        // arbitrary resident ids removed
   std::uint64_t sift_steps = 0;    // total levels moved by sift up/down
 
   HeapStats& operator+=(const HeapStats& o) {
     pushes += o.pushes;
     pops += o.pops;
     adjusts += o.adjusts;
+    erases += o.erases;
     sift_steps += o.sift_steps;
     return *this;
   }
@@ -45,6 +48,7 @@ class BinaryHeap {
   /// Creates a heap able to hold ids in [0, capacity).
   explicit BinaryHeap(std::size_t capacity)
       : pos_(capacity, kAbsent) {
+    LLPMST_CHECK(capacity <= kAbsent);
     heap_.reserve(capacity);
   }
 
@@ -70,7 +74,7 @@ class BinaryHeap {
   /// Inserts id (must not be resident).
   void push(Id id, Key key) {
     LLPMST_ASSERT(!contains(id));
-    pos_[id] = heap_.size();
+    pos_[id] = static_cast<Id>(heap_.size());
     heap_.push_back({key, id});
     ++stats_.pushes;
     sift_up(heap_.size() - 1);
@@ -84,7 +88,7 @@ class BinaryHeap {
       push(id, key);
       return true;
     }
-    std::size_t i = pos_[id];
+    const std::size_t i = pos_[id];
     if (key < heap_[i].key) {
       heap_[i].key = key;
       ++stats_.adjusts;
@@ -107,6 +111,7 @@ class BinaryHeap {
   /// through the R set and its heap entry is dead).
   void erase(Id id) {
     LLPMST_ASSERT(contains(id));
+    ++stats_.erases;
     remove_at(pos_[id]);
   }
 
@@ -123,7 +128,7 @@ class BinaryHeap {
     Key key;
     Id id;
   };
-  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  static constexpr Id kAbsent = static_cast<Id>(-1);
 
   void remove_at(std::size_t i) {
     pos_[heap_[i].id] = kAbsent;
@@ -131,7 +136,7 @@ class BinaryHeap {
     heap_.pop_back();
     if (i == heap_.size()) return;
     heap_[i] = last;
-    pos_[last.id] = i;
+    pos_[last.id] = static_cast<Id>(i);
     // The moved element may need to go either way.
     if (i > 0 && heap_[i].key < heap_[parent(i)].key) {
       sift_up(i);
@@ -148,12 +153,12 @@ class BinaryHeap {
       std::size_t p = parent(i);
       if (!(e.key < heap_[p].key)) break;
       heap_[i] = heap_[p];
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = static_cast<Id>(i);
       i = p;
       ++stats_.sift_steps;
     }
     heap_[i] = e;
-    pos_[e.id] = i;
+    pos_[e.id] = static_cast<Id>(i);
   }
 
   void sift_down(std::size_t i) {
@@ -165,16 +170,16 @@ class BinaryHeap {
       if (child + 1 < n && heap_[child + 1].key < heap_[child].key) ++child;
       if (!(heap_[child].key < e.key)) break;
       heap_[i] = heap_[child];
-      pos_[heap_[i].id] = i;
+      pos_[heap_[i].id] = static_cast<Id>(i);
       i = child;
       ++stats_.sift_steps;
     }
     heap_[i] = e;
-    pos_[e.id] = i;
+    pos_[e.id] = static_cast<Id>(i);
   }
 
   std::vector<Entry> heap_;
-  std::vector<std::size_t> pos_;  // id -> slot in heap_, or kAbsent
+  std::vector<Id> pos_;  // id -> slot in heap_, or kAbsent
   HeapStats stats_;
 };
 

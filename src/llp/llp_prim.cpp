@@ -19,8 +19,8 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
   obs::ScopedHwCounters hw_scope("llp_prim");
   MstResult r;
   r.edges.reserve(n - 1);
+  // dist[k] packs k's tentative priority; its low half is k's parent edge.
   std::vector<EdgePriority> dist(n, kInfinitePriority);
-  std::vector<EdgeId> parent_edge(n, kInvalidEdge);
   std::vector<std::uint8_t> fixed(n, 0);
   std::vector<std::uint8_t> in_q(n, 0);
 
@@ -67,15 +67,16 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
             fixed[k] = 1;
             ++num_fixed;
             ++r.stats.fixed_via_mwe;
-            parent_edge[k] = priority_edge(p);
-            r.edges.push_back(parent_edge[k]);
+            // k's heap entry, if any, is dead: erase it, so the heap holds
+            // only unfixed vertices.
+            if (heap.contains(k)) heap.erase(k);
+            r.edges.push_back(priority_edge(p));
             bag_r.push_back(k);
             continue;
           }
 
           if (p < dist[k]) {
             dist[k] = p;
-            parent_edge[k] = priority_edge(p);
             if (options.q_staging) {
               if (!in_q[k]) {
                 in_q[k] = 1;
@@ -89,8 +90,7 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
       }
     }
 
-    // Everything fixed during the drain: skip the flush and the stale heap
-    // pops entirely (keeps the heap-op counters meaningful).
+    // Everything fixed during the drain: skip the flush.
     if (num_fixed == n) break;
 
     // R drained: flush the staged heap updates.  Vertices fixed for free in
@@ -107,36 +107,29 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
       q.clear();
     }
 
-    // Fall back to the heap for the next nearest non-fixed vertex.
-    bool advanced = false;
+    // Fall back to the heap for the next nearest non-fixed vertex.  Every
+    // entry is unfixed (R erased the others), so every pop fixes a vertex
+    // and the popped key carries its parent edge.
+    VertexId next = 0;
     obs::PhaseTimer pop_span("heap_pop");
-    while (!heap.empty()) {
+    if (!heap.empty()) {
       const auto [j, key] = heap.pop();
-      (void)key;
-      if (fixed[j]) continue;  // fixed via R while resident: skip (stale)
-      fixed[j] = 1;
-      ++num_fixed;
-      ++r.stats.fixed_via_heap;
-      r.edges.push_back(parent_edge[j]);
-      bag_r.push_back(j);
-      advanced = true;
+      LLPMST_ASSERT(!fixed[j]);
+      r.edges.push_back(priority_edge(key));
+      next = j;
+    } else if (options.allow_forest) {
+      // Forest extension: component exhausted but vertices remain — start a
+      // new tree from the next unfixed vertex (it becomes that tree's root
+      // and contributes no edge).
+      while (fixed[next_root]) ++next_root;
+      next = static_cast<VertexId>(next_root);
+    } else {
       break;
     }
-
-    // Forest extension: component exhausted but vertices remain — start a
-    // new tree from the next unfixed vertex (it becomes that tree's root
-    // and contributes no edge).
-    if (!advanced && options.allow_forest && num_fixed < n) {
-      while (next_root < n && fixed[next_root]) ++next_root;
-      if (next_root < n) {
-        fixed[next_root] = 1;
-        ++num_fixed;
-        ++r.stats.fixed_via_heap;
-        bag_r.push_back(static_cast<VertexId>(next_root));
-        advanced = true;
-      }
-    }
-    if (!advanced) break;
+    fixed[next] = 1;
+    ++num_fixed;
+    ++r.stats.fixed_via_heap;
+    bag_r.push_back(next);
   }
 
   LLPMST_CHECK_MSG(num_fixed == n,

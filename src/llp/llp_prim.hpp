@@ -12,6 +12,9 @@
 //   * heap insertions for non-MWE discoveries are staged in Q and flushed
 //     only when R drains, so a vertex that gets fixed for free while R is
 //     processed never pays for a heap operation.
+//   * a vertex fixed through R while it sits in the heap has its entry
+//     erased at once, so the heap holds only unfixed vertices and every
+//     pop fixes one.
 //
 // The result is the same unique MST, with strictly fewer heap operations —
 // the Fig. 2 single-thread advantage (~20-30%).

@@ -22,7 +22,7 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
   Executor& pool = ctx.executor();
   const CancelToken* cancel = ctx.cancel_token();
   const std::size_t n = g.num_vertices();
-  LLPMST_CHECK_MSG(n >= 1, "LLP-Prim requires a non-empty graph");
+  if (n == 0) return {};  // empty graph: the empty forest
   LLPMST_CHECK(root < n);
 
   obs::PhaseTimer algo_span("llp_prim_parallel");
@@ -33,8 +33,7 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
   std::vector<std::atomic<EdgePriority>> dist(n);
   std::vector<std::atomic<std::uint8_t>> fixed(n);
   // chosen_edge[k] is written once, by the thread whose claim CAS on
-  // fixed[k] succeeded; it is read only after that claim is visible (same
-  // round for bag members, after the team join otherwise).
+  // fixed[k] succeeded; it is read after the team join.
   std::vector<EdgeId> chosen_edge(n, kInvalidEdge);
   parallel_for(pool, 0, n, [&](std::size_t v) {
     dist[v].store(kInfinitePriority, std::memory_order_relaxed);
@@ -50,6 +49,7 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
   std::atomic<std::uint64_t> fixed_via_mwe{0};
   std::atomic<std::uint64_t> edges_relaxed{0};
   std::size_t num_fixed = 1;
+  std::size_t next_root = 0;  // forest-restart scan cursor
 
   fixed[root].store(1, std::memory_order_relaxed);
   ++r.stats.fixed_via_heap;
@@ -127,7 +127,12 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
       frontier.clear();
       bag_r.drain_into(frontier);
       num_fixed += frontier.size();
-      for (const VertexId k : frontier) r.edges.push_back(chosen_edge[k]);
+      // The heap must hold only unfixed vertices: erase the entries of the
+      // vertices this super-step fixed (sequential, like every heap op).
+      for (const VertexId k : frontier) {
+        r.edges.push_back(chosen_edge[k]);
+        if (heap.contains(k)) heap.erase(k);
+      }
       if (rounds_on) {
         obs::RoundRecord round;
         round.label = "llp_prim_parallel";
@@ -139,6 +144,8 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
         obs::record_round(std::move(round));
       }
     }
+
+    if (num_fixed == n) break;
 
     // --- R drained: flush staged vertices into the heap (sequential — the
     // paper's acknowledged bottleneck), then pop the next nearest vertex.
@@ -160,30 +167,29 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
       }
     }
 
-    bool advanced = false;
+    // Every heap entry is unfixed, so a pop fixes a vertex whose key
+    // carries its parent edge.  An empty heap means this component is
+    // spanned: the next tree starts at the next unfixed vertex, its root.
+    VertexId next = 0;
     obs::PhaseTimer pop_span("heap_pop");
-    while (!heap.empty()) {
+    if (!heap.empty()) {
       const auto [j, key] = heap.pop();
-      (void)key;
-      if (fixed[j].load(std::memory_order_relaxed)) continue;  // stale
-      fixed[j].store(1, std::memory_order_relaxed);
-      ++num_fixed;
-      ++r.stats.fixed_via_heap;
-      chosen_edge[j] =
-          priority_edge(dist[j].load(std::memory_order_relaxed));
-      r.edges.push_back(chosen_edge[j]);
-      frontier.push_back(j);
-      advanced = true;
-      break;
+      LLPMST_ASSERT(!fixed[j].load(std::memory_order_relaxed));
+      r.edges.push_back(priority_edge(key));
+      next = j;
+    } else {
+      while (fixed[next_root].load(std::memory_order_relaxed)) ++next_root;
+      next = static_cast<VertexId>(next_root);
     }
-    if (!advanced) break;
+    fixed[next].store(1, std::memory_order_relaxed);
+    ++num_fixed;
+    ++r.stats.fixed_via_heap;
+    frontier.push_back(next);
   }
 
-  // On a clean run all vertices must have been fixed; an aborted run
-  // (cancellation / injected fault) legitimately leaves some unfixed.
-  LLPMST_CHECK_MSG(r.stats.outcome != RunOutcome::kOk || num_fixed == n,
-                   "LLP-Prim requires a connected graph; use LLP-Boruvka "
-                   "for forests");
+  // On a clean run all vertices are fixed; an aborted run (cancellation /
+  // injected fault) legitimately leaves some unfixed.
+  LLPMST_ASSERT(r.stats.outcome != RunOutcome::kOk || num_fixed == n);
   r.stats.fixed_via_mwe = fixed_via_mwe.load(std::memory_order_relaxed);
   r.stats.edges_relaxed = edges_relaxed.load(std::memory_order_relaxed);
   r.stats.heap = heap.stats();
@@ -195,7 +201,7 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
 MstAlgorithm llp_prim_parallel_algorithm() {
   return {"llp-prim-parallel", "LLP-Prim",
           "early-fixing Prim, R drained by the team per super-step",
-          {.parallel = true, .msf_capable = false, .deterministic = true,
+          {.parallel = true, .msf_capable = true, .deterministic = true,
            .cancellable = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return llp_prim_parallel(g, ctx);

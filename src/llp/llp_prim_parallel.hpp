@@ -12,8 +12,12 @@
 //     next nearest non-fixed vertex — the sequential bottleneck the paper
 //     acknowledges, which is why LLP-Prim wins at low core counts and
 //     plateaus around 8 threads (Fig. 3).
+//   * when the heap drains with vertices left (a disconnected graph), the
+//     next tree starts at the next unfixed vertex, as in sequential
+//     LLP-Prim's forest mode.
 //
-// The result is the same unique MST for every thread count.
+// The result is the same unique minimum spanning forest for every thread
+// count.
 #pragma once
 
 #include "mst/registry.hpp"

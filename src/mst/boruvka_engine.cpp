@@ -199,7 +199,7 @@ struct Engine {
   /// Hook: every component with an outgoing MWE picks its parent across it;
   /// mutual choices are broken by id (smaller id stays root).  The hooking
   /// side emits the edge (into a unique cursor slot), so each MSF edge is
-  /// emitted exactly once; finalize_result sorts, so order is free.
+  /// emitted exactly once; finalize_result orders the ids, so order is free.
   void hook() {
     obs::PhaseTimer span("hook");
     parallel_for_adaptive(pool, 0, k, s.vertex_grain, [this](std::size_t c) {

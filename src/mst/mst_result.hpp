@@ -42,7 +42,9 @@ struct MstAlgoStats {
 void record_algo_metrics(const char* algo, const MstAlgoStats& s);
 
 struct MstResult {
-  /// Chosen undirected edge ids, sorted ascending.
+  /// Chosen undirected edge ids, sorted ascending.  (A malformed set from
+  /// a buggy algorithm keeps its duplicate or out-of-range ids after the
+  /// ascending ones, where the verifier rejects them.)
   std::vector<EdgeId> edges;
   /// Sum of weights of the chosen edges.  Meaningless when weight_overflow.
   TotalWeight total_weight = 0;
@@ -70,8 +72,9 @@ struct MstResult {
 #endif
 }
 
-/// Sorts edge ids, sums weights (overflow-checked), and derives num_trees.
-/// Every algorithm calls this once at the end.
+/// Puts edge ids in ascending order through an m-bit bitmap (no sort), sums
+/// their weights (overflow-checked), and derives num_trees.  Every
+/// algorithm calls this once at the end.
 void finalize_result(const CsrGraph& g, MstResult& r);
 
 }  // namespace llpmst

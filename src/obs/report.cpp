@@ -95,6 +95,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     append_kv_u64(out, "pushes", algo->heap.pushes);
     append_kv_u64(out, "pops", algo->heap.pops);
     append_kv_u64(out, "adjusts", algo->heap.adjusts);
+    append_kv_u64(out, "erases", algo->heap.erases);
     append_kv_u64(out, "sift_steps", algo->heap.sift_steps, false);
     out += "},\"llp\":{";
     append_kv_u64(out, "sweeps", algo->llp_sweeps);

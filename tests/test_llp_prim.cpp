@@ -99,6 +99,37 @@ TEST(LlpPrim, PaperWalkthroughOnFigure1) {
   EXPECT_EQ(r.stats.fixed_via_mwe, 3u);
 }
 
+TEST(LlpPrim, HeapNeverHoldsAFixedVertex) {
+  // R erases the heap entry of every vertex it fixes, so each pop fixes a
+  // vertex: the heap-fixed vertices are the pops plus one root per tree, and
+  // every pushed entry leaves the heap by a pop or an erase.
+  const CsrGraph connected = medium_connected_graph(8);
+  const CsrGraph forest = csr(make_forest(5, 80, 13));
+  for (const CsrGraph* g : {&connected, &forest}) {
+    const MstResult reference = kruskal(*g);
+    for (const bool mwe : {false, true}) {
+      for (const bool q : {false, true}) {
+        for (const bool allow_forest : {false, true}) {
+          if (reference.num_trees > 1 && !allow_forest) continue;
+          LlpPrimOptions o;
+          o.mwe_fixing = mwe;
+          o.q_staging = q;
+          o.allow_forest = allow_forest;
+          const MstResult r = llp_prim(*g, 0, o);
+          const HeapStats& h = r.stats.heap;
+          ASSERT_EQ(r.edges, reference.edges);
+          EXPECT_EQ(h.pops, r.stats.fixed_via_heap - r.num_trees)
+              << "mwe=" << mwe << " q=" << q << " forest=" << allow_forest;
+          EXPECT_EQ(h.pushes, h.pops + h.erases);
+          if (!mwe) {
+            EXPECT_EQ(h.erases, 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(LlpPrimForest, RestartsProduceTheMsf) {
   const CsrGraph g = csr(make_forest(4, 60, 11));
   const MstResult r = llp_prim_msf(g);
@@ -157,6 +188,28 @@ TEST_P(LlpPrimParallel, DenseRmatGraph) {
   ThreadPool pool(static_cast<std::size_t>(GetParam()));
   RunContext ctx(pool);
   EXPECT_EQ(llp_prim_parallel(g, ctx).edges, kruskal(g).edges);
+}
+
+TEST_P(LlpPrimParallel, ForestMatchesKruskal) {
+  // A drained heap restarts from the next unfixed vertex, as llp_prim_msf
+  // does; the heap follows the same erase rule, so every pop fixes a vertex.
+  ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 4;
+  p.seed = 5;
+  for (const EdgeList& list :
+       {make_forest(6, 70, 9), generate_rmat(p), EdgeList(8)}) {
+    const CsrGraph g = csr(list);
+    RunContext ctx(pool);
+    const MstResult r = llp_prim_parallel(g, ctx);
+    const MstResult reference = kruskal(g);
+    ASSERT_GT(reference.num_trees, 1u);
+    ASSERT_EQ(r.edges, reference.edges);
+    EXPECT_EQ(r.num_trees, reference.num_trees);
+    EXPECT_EQ(r.stats.heap.pops, r.stats.fixed_via_heap - r.num_trees);
+    EXPECT_EQ(r.stats.heap.pushes, r.stats.heap.pops + r.stats.heap.erases);
+  }
 }
 
 TEST(LlpPrimParallelStats, MweShareGrowsWithDensity) {

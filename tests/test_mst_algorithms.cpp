@@ -7,7 +7,6 @@
 #include "graph/generators/special.hpp"
 #include "llp/llp_boruvka.hpp"
 #include "llp/llp_prim.hpp"
-#include "llp/llp_prim_parallel.hpp"
 #include "mst/kruskal.hpp"
 #include "mst/parallel_boruvka.hpp"
 #include "mst/prim.hpp"
@@ -138,12 +137,9 @@ TEST(MstAlgorithms, IsolatedVerticesCountAsTrees) {
 TEST(MstAlgorithmsDeathTest, PrimFamilyRejectsDisconnected) {
   const EdgeList list = make_forest(2, 5, 3);
   const CsrGraph g = csr(list);
-  ThreadPool pool(1);
-  RunContext ctx(pool);
   EXPECT_DEATH((void)prim(g), "connected");
   EXPECT_DEATH((void)prim_lazy(g), "connected");
   EXPECT_DEATH((void)llp_prim(g, 0), "connected");
-  EXPECT_DEATH((void)llp_prim_parallel(g, ctx), "connected");
 }
 
 TEST(MstAlgorithms, PrimRootChoiceDoesNotChangeTree) {

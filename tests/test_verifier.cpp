@@ -176,5 +176,85 @@ TEST(Verifier, MinimalityCheckOnRandomGraphs) {
   }
 }
 
+// finalize_result: the bitmap pass that orders every algorithm's forest.
+
+TEST(FinalizeResult, AnyInputOrderGivesTheAscendingForest) {
+  ErdosRenyiParams p;
+  p.num_vertices = 200;
+  p.num_edges = 700;
+  p.seed = 4;
+  const CsrGraph g = csr(generate_erdos_renyi(p));
+  const MstResult reference = reference_msf(g);
+  std::vector<EdgeId> reversed(reference.edges.rbegin(),
+                               reference.edges.rend());
+  std::vector<EdgeId> shuffled = reference.edges;
+  Xoshiro256 rng(9);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+  }
+  for (const std::vector<EdgeId>& order : {reversed, shuffled}) {
+    MstResult r;
+    r.edges = order;
+    r.total_weight = 12345;  // stale totals are recomputed, not kept
+    r.weight_overflow = true;
+    finalize_result(g, r);
+    EXPECT_EQ(r.edges, reference.edges);
+    EXPECT_EQ(r.total_weight, reference.total_weight);
+    EXPECT_FALSE(r.weight_overflow);
+    EXPECT_EQ(r.num_trees, reference.num_trees);
+    EXPECT_TRUE(verify_msf(g, r).ok);
+  }
+}
+
+TEST(FinalizeResult, EmptyForest) {
+  const CsrGraph g = csr(make_paper_figure1());
+  MstResult r;
+  r.total_weight = 7;
+  finalize_result(g, r);
+  EXPECT_TRUE(r.edges.empty());
+  EXPECT_EQ(r.total_weight, 0u);
+  EXPECT_FALSE(r.weight_overflow);
+  EXPECT_EQ(r.num_trees, g.num_vertices());
+}
+
+TEST(FinalizeResult, WordBoundariesAndTheLastId) {
+  // 66 edges: two bitmap words, the second one partial.
+  const CsrGraph g = csr(make_complete(12, 3));
+  ASSERT_EQ(g.num_edges(), 66u);
+  const EdgeId last = static_cast<EdgeId>(g.num_edges() - 1);
+  MstResult r;
+  r.edges = {last, 64, 63, 0};
+  finalize_result(g, r);
+  EXPECT_EQ(r.edges, (std::vector<EdgeId>{0, 63, 64, last}));
+  TotalWeight expected = 0;
+  for (const EdgeId e : r.edges) expected += g.edge(e).w;
+  EXPECT_EQ(r.total_weight, expected);
+  EXPECT_EQ(r.num_trees, g.num_vertices() - 4);
+}
+
+TEST(FinalizeResult, DuplicateIdStillFailsVerification) {
+  const CsrGraph g = csr(make_paper_figure1());
+  MstResult r = reference_msf(g);
+  const std::size_t size = r.edges.size();
+  r.edges.push_back(r.edges.front());
+  finalize_result(g, r);
+  EXPECT_EQ(r.edges.size(), size + 1);  // not merged away
+  const VerifyResult v = verify_spanning_forest(g, r);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("duplicate"), std::string::npos);
+}
+
+TEST(FinalizeResult, OutOfRangeIdStillFailsVerification) {
+  const CsrGraph g = csr(make_paper_figure1());
+  MstResult r = reference_msf(g);
+  const std::size_t size = r.edges.size();
+  r.edges.insert(r.edges.begin(), static_cast<EdgeId>(g.num_edges()));
+  finalize_result(g, r);
+  EXPECT_EQ(r.edges.size(), size + 1);
+  const VerifyResult v = verify_spanning_forest(g, r);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("out of range"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace llpmst

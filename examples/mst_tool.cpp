@@ -18,15 +18,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/run_context.hpp"
 #include "graph/algorithms/degree_stats.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/generators/random_graph.hpp"
-#include "graph/generators/rmat.hpp"
-#include "graph/generators/road.hpp"
+#include "graph/generators/by_kind.hpp"
 #include "graph/io/binary_csr.hpp"
 #include "graph/io/edge_list_io.hpp"
 #include "graph/io/read_graph.hpp"
@@ -196,8 +195,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\nflags: par|seq parallel, msf|tree forest-capable, "
                 "det deterministic, can cancellable\n"
-                "'auto' picks from this table by thread count and "
-                "connectivity (see mst/auto.hpp).\n");
+                "'auto' picks from this table by thread count, average "
+                "degree and connectivity (see mst/auto.hpp).\n");
     return 0;
   }
 
@@ -354,22 +353,10 @@ int main(int argc, char** argv) {
       }
       list = std::move(*loaded);
       std::printf("Loaded %s\n", input.c_str());
-    } else if (generate == "road") {
-      RoadParams p;
-      p.width = p.height = 1u << (scale / 2);
-      p.seed = static_cast<std::uint64_t>(seed);
-      list = generate_road_network(p);
-    } else if (generate == "rmat") {
-      RmatParams p;
-      p.scale = static_cast<int>(scale);
-      p.seed = static_cast<std::uint64_t>(seed);
-      list = generate_rmat(p);
-    } else if (generate == "er") {
-      ErdosRenyiParams p;
-      p.num_vertices = 1u << scale;
-      p.num_edges = (1ull << scale) * 8;
-      p.seed = static_cast<std::uint64_t>(seed);
-      list = generate_erdos_renyi(p);
+    } else if (std::optional<EdgeList> generated = generate_by_kind(
+                   generate, static_cast<int>(scale),
+                   static_cast<std::uint64_t>(seed))) {
+      list = std::move(*generated);
     } else {
       std::fprintf(stderr, "unknown --generate '%s'\n", generate.c_str());
       return 2;
@@ -384,7 +371,8 @@ int main(int argc, char** argv) {
                 format_duration_ms(bt.elapsed_ms()).c_str(),
                 static_cast<long long>(threads));
   }
-  std::printf("Graph: %s\n", describe(compute_stats(g)).c_str());
+  const GraphStats stats = compute_stats(g);
+  std::printf("Graph: %s\n", describe(stats).c_str());
 
   // --- Pack-and-exit: persist the built (or remounted) CSR as an llpmstb
   // snapshot.  No solve happens; the round-trip is the CI gate's business.
@@ -407,6 +395,8 @@ int main(int argc, char** argv) {
   // simulator: same Executor surface, PRNG-chosen interleaving, virtual
   // clock feeding the deadline, recorded schedule trace.
   ctx.attach_pool(pool);
+  // The stats pass already counted components: auto's census reads it.
+  ctx.seed_components(g, stats.num_components);
   std::unique_ptr<llpmst::sim::SimExecutor> sim_exec;
   CancelToken sim_cancel;  // target of timeline `cancel` actions
   if (use_sim) {

@@ -13,7 +13,7 @@ namespace llpmst {
 
 namespace {
 
-/// Runs the chosen parallel algorithm, converting every failure mode —
+/// Runs the chosen algorithm, converting every failure mode —
 /// structured outcome, injected FailpointError, bad_alloc, any other
 /// exception — into a (ok, reason) verdict the portfolio can act on.
 template <typename Run>
@@ -41,30 +41,32 @@ bool run_guarded(Run&& run, MstResult& result, std::string& reason) {
   return true;
 }
 
-/// The paper's preference order for the given shape, resolved against the
-/// registry and filtered by capability: a disconnected input discards every
-/// entry that cannot produce a forest.  Falls back to the Kruskal oracle if
-/// (in some trimmed build) no preferred entry is registered.
-const MstAlgorithm& select_algorithm(bool connected, std::size_t threads,
-                                     const AutoMstOptions& options) {
-  const char* preferred[3] = {nullptr, nullptr, nullptr};
-  if (!connected || threads >= options.boruvka_crossover) {
-    preferred[0] = "llp-boruvka";
-    preferred[1] = "parallel-boruvka";
-  } else if (threads == 1) {
-    preferred[0] = "llp-prim";
-  } else {
-    preferred[0] = "llp-prim-parallel";
-    preferred[1] = "llp-boruvka";
-  }
-  for (const char* name : preferred) {
-    if (name == nullptr) continue;
-    const MstAlgorithm* a = find_mst_algorithm(name);
-    if (a == nullptr) continue;
-    if (!connected && !a->caps.msf_capable) continue;
-    return *a;
-  }
-  return mst_algorithm("kruskal");
+/// Average degree (m/n) from which a graph counts as dense: road networks
+/// sit near 2, the er-19 and rmat-19 rows of the regime matrix at 8 and 15.
+constexpr std::size_t kDenseDegree = 4;
+
+/// The policy table: kPolicy[band][dense][connected] names the entry the
+/// regime matrix (bench/baselines/regime-matrix.json) measured fastest, or
+/// within 10% of it, for that cell.  Bands are 1, 2-3, 4-7 and >= 8
+/// threads; the last is the paper's Fig. 3 crossover, not measured here.
+constexpr const char* kPolicy[4][2][2] = {
+    // sparse: {disconnected, connected}, dense: {disconnected, connected}
+    {{"kruskal", "kruskal"}, {"llp-prim-parallel", "kruskal"}},  // 1
+    {{"kruskal", "kruskal"}, {"llp-boruvka", "kruskal"}},        // 2-3
+    {{"kruskal", "kruskal"}, {"llp-boruvka", "llp-boruvka"}},    // 4-7
+    {{"llp-boruvka", "llp-boruvka"},
+     {"llp-boruvka", "llp-boruvka"}},  // >= 8
+};
+
+const MstAlgorithm& select_algorithm(const CsrGraph& g, RunContext& ctx) {
+  const std::size_t threads = ctx.threads();
+  const std::size_t band =
+      threads >= 8 ? 3 : threads >= 4 ? 2 : threads >= 2 ? 1 : 0;
+  const bool dense = g.num_edges() >= kDenseDegree * g.num_vertices();
+  // Cached per (context, graph): downstream verification through the
+  // same context reuses the answer instead of recomputing components.
+  const bool connected = ctx.connected(g);
+  return mst_algorithm(kPolicy[band][dense][connected]);
 }
 
 }  // namespace
@@ -77,23 +79,7 @@ AutoMstResult minimum_spanning_forest(const CsrGraph& g, RunContext& ctx,
     return out;
   }
 
-  bool connected = false;
-  switch (options.connectivity) {
-    case Connectivity::kConnected:
-      connected = true;
-      break;
-    case Connectivity::kDisconnected:
-      connected = false;
-      break;
-    case Connectivity::kUnknown:
-      // Cached per (context, graph): downstream verification through the
-      // same context reuses the answer instead of recomputing components.
-      connected = ctx.connected(g);
-      break;
-  }
-
-  const MstAlgorithm& algo =
-      select_algorithm(connected, ctx.threads(), options);
+  const MstAlgorithm& algo = select_algorithm(g, ctx);
   out.algorithm = algo.name;
   std::string reason;
   bool ok =

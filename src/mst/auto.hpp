@@ -1,18 +1,23 @@
-// Portfolio entry point: pick the MST/MSF algorithm the paper's conclusions
-// recommend for the given graph and thread budget.
+// Portfolio entry point: run the registry entry (mst/registry.hpp) that the
+// regime matrix measured fastest for the input's shape and thread budget.
 //
-// Section VII/VIII's findings, operationalized as a preference order over
-// the registry (mst/registry.hpp), capability-filtered per input:
-//   * 1 thread            -> LLP-Prim (1T) — fastest sequential (Fig. 2);
-//   * few threads (< the crossover the paper places around 8) and a
-//     connected graph     -> parallel LLP-Prim (Fig. 3 left);
-//   * many threads, or a disconnected graph (the Prim family cannot run)
-//                         -> LLP-Boruvka (Fig. 3 right / Fig. 4).
-//
-// The crossover is a tunable with the paper's observed default.  Deadline
-// and external cancellation come from the RunContext (set_deadline_ms /
-// set_cancel); connectivity is taken from the context's cache unless the
-// caller passes a hint.
+// The policy is a fixed table in auto.cpp keyed by thread count, average
+// degree (m/n) and connectivity (the RunContext's cached census).  It was
+// read off bench/baselines/regime-matrix.json (bench_regime_matrix on packed
+// road-20, er-19 and rmat-19 at 1/2/4 threads), and
+// tools/check_auto_policy.py fails CI when a cell names an entry more than
+// 10% slower than that cell's best.  On the 4-vCPU host it was measured on:
+//   * a sparse graph (m < 4n), or a dense connected one below 4 threads
+//                          -> sequential Kruskal;
+//   * a dense disconnected graph -> llp-prim-parallel at 1 thread, and
+//     LLP-Boruvka from 2 threads;
+//   * a dense connected graph from 4 threads -> LLP-Boruvka;
+//   * >= 8 threads         -> LLP-Boruvka, the paper's Fig. 3 crossover,
+//     which 4 vCPUs cannot measure.
+// Every entry the table names is forest-capable and returns the unique
+// priority-ordered MSF, so the pick changes the time, never the forest.
+// Deadline and external cancellation come from the RunContext
+// (set_deadline_ms / set_cancel).
 #pragma once
 
 #include <string>
@@ -23,16 +28,8 @@ namespace llpmst {
 
 class RunContext;
 
-/// Caller knowledge about the input's connectivity (kUnknown triggers a
-/// cached union-find check through RunContext::connected()).
-enum class Connectivity { kUnknown, kConnected, kDisconnected };
-
 struct AutoMstOptions {
-  /// Thread count at which the Boruvka family starts winning (Fig. 3's ~8).
-  std::size_t boruvka_crossover = 8;
-  /// Connectivity hint; kUnknown = consult the RunContext's cache.
-  Connectivity connectivity = Connectivity::kUnknown;
-  /// When the chosen parallel algorithm fails (deadline, injected fault,
+  /// When the chosen algorithm fails (deadline, injected fault,
   /// thrown exception, non-convergence), rerun with sequential Kruskal
   /// instead of returning the partial result.  Kruskal radix-sorts the
   /// packed priorities and uses no executor, so it does not depend on the
@@ -44,10 +41,10 @@ struct AutoMstOptions {
 struct AutoMstResult {
   MstResult result;
   /// Canonical registry name of the algorithm that produced `result`
-  /// ("llp-prim", "llp-boruvka", ..., "kruskal" after a fallback, or
+  /// ("kruskal", "llp-boruvka", ..., "kruskal" after a fallback, or
   /// "trivial" for the empty graph).
   std::string algorithm;
-  /// True when the chosen parallel algorithm failed and sequential Kruskal
+  /// True when the chosen algorithm failed and sequential Kruskal
   /// produced the result instead; `fallback_reason` says why (e.g.
   /// "deadline_exceeded", "injected_fault", "exception: ...").
   bool fell_back = false;

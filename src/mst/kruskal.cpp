@@ -17,8 +17,13 @@ namespace {
 /// user cancel lands mid-scan rather than only at the end.
 constexpr std::size_t kScanStride = 1024;
 
-/// How many edges ahead the scan prefetches the edge record it will unite.
-constexpr std::size_t kPrefetchDistance = 16;
+/// How many edges ahead the scan prefetches the edge record it will unite,
+/// and (closer, once that record has arrived) the union-find parent slots
+/// of its endpoints.  Measured on road-20, er-19 and rmat-19: with the
+/// record only 16 ahead, reading it 8 ahead stalls on the denser graphs,
+/// whose scan steps are short.
+constexpr std::size_t kPrefetchDistance = 32;
+constexpr std::size_t kParentPrefetchDistance = 8;
 }  // namespace
 
 MstResult kruskal(const CsrGraph& g) { return kruskal_cancellable(g, nullptr); }
@@ -28,6 +33,16 @@ MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
   const std::size_t n = g.num_vertices();
   const std::span<const WeightedEdge> edges = g.edges();
   const std::size_t m = edges.size();
+
+  // An already-triggered token (an expired budget before the fallback)
+  // costs O(1): nothing is allocated or scanned, and the empty forest has
+  // one tree per vertex.
+  if (cancel != nullptr && cancel->cancelled()) {
+    MstResult r;
+    r.stats.outcome = cancel->reason();
+    r.num_trees = n;
+    return r;
+  }
 
   // Sort packed priorities == (weight, id) lexicographic.  `any & ~all`
   // marks the weight bits that are not the same for every edge.
@@ -85,6 +100,12 @@ MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
       if (i + kPrefetchDistance < m) {
         __builtin_prefetch(
             &edges[priority_edge(order[i + kPrefetchDistance])]);
+      }
+      if (i + kParentPrefetchDistance < m) {
+        const WeightedEdge& ahead =
+            edges[priority_edge(order[i + kParentPrefetchDistance])];
+        uf.prefetch(ahead.u);
+        uf.prefetch(ahead.v);
       }
       const EdgeId e = priority_edge(order[i]);
       const WeightedEdge& we = edges[e];

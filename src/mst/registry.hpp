@@ -26,9 +26,9 @@ namespace llpmst {
 class RunContext;
 
 /// What a registered algorithm can do; consumers filter on these instead of
-/// knowing names.  (mst::auto picks msf_capable entries for disconnected
-/// inputs; the conformance test skips forest inputs for tree-only entries;
-/// --list-algos prints them.)
+/// knowing names.  (The conformance test skips forest inputs for tree-only
+/// entries; --list-algos prints them.  Every entry mst::auto's policy table
+/// names is msf_capable, which its table tests check on forest inputs.)
 struct AlgoCaps {
   /// Uses the RunContext's thread pool (sequential entries ignore it).
   bool parallel = false;

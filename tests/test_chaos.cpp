@@ -44,6 +44,12 @@ CsrGraph connected_graph() {
   return csr(find_scenario("road-baseline")->make(kConnectedSeed));
 }
 
+CsrGraph dense_forest_graph() {
+  // Graph500-shaped RMAT: m/n ~ 6 and disconnected, a cell where auto's
+  // policy table names llp-boruvka at >= 2 threads.
+  return csr(find_scenario("rmat-graph500")->make(kConnectedSeed));
+}
+
 CsrGraph sparse_random_graph() {
   // ER topology with near-duplicate weights: sparse AND tie-break heavy.
   return csr(find_scenario("near-duplicate-weights")->make(kSparseSeed));
@@ -173,12 +179,12 @@ TEST_F(Chaos, WatchdogStopsAWedgedLlpSolve) {
 
 // ------------------------------------------------- graceful degradation
 
-TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedPrimFault) {
-  const CsrGraph g = connected_graph();
+TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedFaultAtFourThreads) {
+  const CsrGraph g = dense_forest_graph();
   const MstResult reference = kruskal(g);
-  ThreadPool pool(4);  // connected + below the crossover -> llp-prim-parallel
+  ThreadPool pool(4);  // dense + disconnected -> llp-boruvka
   RunContext ctx(pool);
-  ASSERT_TRUE(fail::arm("llp_prim/handoff", "return"));
+  ASSERT_TRUE(fail::arm("boruvka/contract", "return"));
 
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
   EXPECT_TRUE(r.fell_back);
@@ -192,7 +198,7 @@ TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedPrimFault) {
 TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedBoruvkaFault) {
   const CsrGraph g = sparse_random_graph();
   const MstResult reference = kruskal(g);
-  ThreadPool pool(8);  // at the crossover -> llp-boruvka
+  ThreadPool pool(8);  // the paper's crossover -> llp-boruvka
   RunContext ctx(pool);
   ASSERT_TRUE(fail::arm("boruvka/contract", "return"));
 
@@ -204,14 +210,15 @@ TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedBoruvkaFault) {
 }
 
 TEST_F(Chaos, AutoFallsBackToKruskalOnDeadline) {
-  // An already-expired deadline plus a stall on every handoff: the parallel
-  // run stops at its first checkpoint and the portfolio must recover with a
-  // full sequential answer, not hand back the empty partial forest.
-  const CsrGraph g = connected_graph();
+  // An already-expired deadline plus a stall on every contraction: the
+  // parallel run stops at its first checkpoint and the portfolio must
+  // recover with a full sequential answer, not hand back the empty partial
+  // forest.
+  const CsrGraph g = dense_forest_graph();
   const MstResult reference = kruskal(g);
   ThreadPool pool(4);
   RunContext ctx(pool);
-  ASSERT_TRUE(fail::arm("llp_prim/handoff", "sleep(500)"));
+  ASSERT_TRUE(fail::arm("boruvka/contract", "sleep(500)"));
 
   ctx.set_deadline_ms(0.001);
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
@@ -236,10 +243,10 @@ TEST_F(Chaos, AutoHonoursUserCancelWithoutFallback) {
 }
 
 TEST_F(Chaos, FallbackCanBeDisabled) {
-  const CsrGraph g = connected_graph();
+  const CsrGraph g = dense_forest_graph();
   ThreadPool pool(4);
   RunContext ctx(pool);
-  ASSERT_TRUE(fail::arm("llp_prim/handoff", "return"));
+  ASSERT_TRUE(fail::arm("boruvka/contract", "return"));
 
   AutoMstOptions options;
   options.fallback_to_sequential = false;

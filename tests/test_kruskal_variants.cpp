@@ -13,6 +13,7 @@
 #include "mst/kruskal.hpp"
 #include "mst/kruskal_parallel.hpp"
 #include "mst/verifier.hpp"
+#include "obs/mem_stats.hpp"
 #include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 #include "support/random.hpp"
@@ -100,10 +101,18 @@ TEST_P(KruskalVariants, KruskalPreCancelledScansNothing) {
   const CsrGraph g = csr(er_edges(3));
   CancelToken token;
   token.cancel();
+  const obs::MemSample before = obs::mem_sample();
   const MstResult r = kruskal_cancellable(g, &token);
+  const obs::MemSample after = obs::mem_sample();
   EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
   EXPECT_TRUE(r.edges.empty());
   EXPECT_EQ(r.num_trees, g.num_vertices());
+  // The token is polled before the key array is sized: an expired budget
+  // costs no per-edge memory.
+  if (after.alloc_tracking) {
+    EXPECT_LT(after.alloc_bytes - before.alloc_bytes,
+              g.num_edges() * sizeof(EdgePriority));
+  }
 }
 
 TEST_P(KruskalVariants, FilterKruskalMatchesOracle) {

@@ -360,7 +360,7 @@ TEST(QueryService, SameSnapshotQueriesBatchUpToCap) {
 
 TEST(QueryService, BudgetExpiryFallsBackToKruskalInReport) {
   GraphCatalog catalog;
-  ASSERT_TRUE(catalog.load("g", "road:48", 1).ok());
+  ASSERT_TRUE(catalog.load("g", "rmat:10", 1).ok());
   ServiceOptions options;
   options.start_workers = false;
   QueryService service(catalog, options);
@@ -368,9 +368,8 @@ TEST(QueryService, BudgetExpiryFallsBackToKruskalInReport) {
 
   // A microscopic budget: the portfolio's parallel attempt expires and the
   // sequential Kruskal fallback produces the result — the report must say
-  // both (fallback_reason) and still be an "ok" response.  A 2-thread pool
-  // steers auto to the cancellable parallel attempt (1 thread would pick
-  // the sequential, non-cancellable llp-prim, which cannot trip a budget).
+  // both (fallback_reason) and still be an "ok" response.  A dense,
+  // disconnected graph on a 2-thread pool steers auto to llp-boruvka.
   ThreadPool pool(2);
   service.handle(
       R"({"op":"query","graph":"g","algo":"auto","budget_ms":0.01})", 0,

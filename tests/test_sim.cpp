@@ -358,7 +358,8 @@ TEST_F(SimTimeline, UserCancelDuringAutoFallbackStopsTheSequentialScan) {
   // (an expired deadline must not kill its own recovery).  Here the user
   // cancel lands MID-fallback, scripted on the k-th kruskal/scan stride:
   // the fallback must stop with a partial forest, not run to completion.
-  const CsrGraph g = scenario_graph("geo-road-hybrid", 9);
+  // Dense and disconnected: auto's table names llp-boruvka at 4 workers.
+  const CsrGraph g = scenario_graph("rmat-graph500", 9);
   const MstResult reference = kruskal(g);
 
   SimExecutor::Options o;
@@ -373,7 +374,6 @@ TEST_F(SimTimeline, UserCancelDuringAutoFallbackStopsTheSequentialScan) {
   ctx.attach_executor(&exec);
   ctx.set_cancel(&user);
   // Break the parallel pick so auto must fall back.
-  ASSERT_TRUE(fail::arm("llp_prim/handoff", "return"));
   ASSERT_TRUE(fail::arm("boruvka/contract", "return"));
 
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
@@ -386,8 +386,10 @@ TEST_F(SimTimeline, UserCancelDuringAutoFallbackStopsTheSequentialScan) {
 TEST_F(SimTimeline, ExpiredDeadlineFallbackStillCompletesUnderSim) {
   // Counterpart to the user-cancel case: when only the DEADLINE expires,
   // the fallback ignores it and must deliver the complete exact forest
-  // even though virtual time never rewinds.
-  const CsrGraph g = scenario_graph("road-baseline", 10);
+  // even though virtual time never rewinds.  The graph is dense and
+  // disconnected, so auto's pick at 4 workers is the parallel llp-boruvka,
+  // whose scheduling decisions advance the virtual clock past the budget.
+  const CsrGraph g = scenario_graph("rmat-graph500", 10);
   const MstResult reference = kruskal(g);
 
   SimExecutor::Options o;

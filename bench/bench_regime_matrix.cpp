@@ -1,5 +1,5 @@
 // The regime matrix behind auto's policy table (src/mst/auto.cpp): every
-// forest-capable registry entry, and auto itself, on each graph at each
+// registry entry, and auto itself, on each graph at each
 // thread count.  The committed record bench/baselines/regime-matrix.json
 // holds the records of
 //
@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
   using namespace llpmst::bench;
 
   CliParser cli("bench_regime_matrix",
-                "every forest-capable entry and auto, per graph and thread "
+                "every registry entry and auto, per graph and thread "
                 "count: the measurements auto's policy table is read from");
   auto& graphs = cli.add_string("graphs", "road-20,er-19,rmat-19",
                                 "KIND-SCALE list (KIND = road | rmat | er)");
@@ -47,11 +46,10 @@ int main(int argc, char** argv) {
 
   std::filesystem::create_directories(pack_dir);
 
-  // The contestants: every forest-capable entry, then auto.
+  // The contestants: every entry, then auto.
   std::vector<const MstAlgorithm*> entries;
   std::vector<std::string> contestants;
   for (const MstAlgorithm& a : mst_algorithms()) {
-    if (!a.caps.msf_capable) continue;
     entries.push_back(&a);
     contestants.emplace_back(a.name);
   }
@@ -70,11 +68,10 @@ int main(int argc, char** argv) {
                           : std::atoi(name.c_str() + dash + 1);
     const std::string file = pack_dir + "/" + name + ".llpmstb";
     if (!is_binary_csr_file(file)) {
-      const std::optional<EdgeList> list =
-          scale > 0 ? generate_by_kind(kind, scale, 1) : std::nullopt;
-      if (!list) {
-        std::fprintf(stderr, "bad graph '%s' (want KIND-SCALE, KIND = road "
-                             "| rmat | er)\n", name.c_str());
+      const Expected<EdgeList> list = generate_by_kind(kind, scale, 1);
+      if (!list.ok()) {
+        std::fprintf(stderr, "bad graph '%s' (want KIND-SCALE): %s\n",
+                     name.c_str(), list.status().message().c_str());
         return 2;
       }
       const Status packed = write_binary_csr(file, CsrGraph::build(*list));

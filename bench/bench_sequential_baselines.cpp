@@ -1,6 +1,6 @@
-// Context for Fig. 2: every sequential (and sort-parallel) MSF baseline in
-// the library on both workloads — Kruskal, parallel-sort Kruskal,
-// Filter-Kruskal, Prim, lazy Prim, classic Boruvka, LLP-Prim (1T).  Places
+// Context for Fig. 2: every sequential MSF baseline in the library, plus
+// Filter-Kruskal, on both workloads — Kruskal, Filter-Kruskal, Prim, lazy
+// Prim, classic Boruvka, LLP-Prim (1T).  Places
 // the paper's three Fig. 2 contestants inside the wider baseline landscape.
 #include <cstdio>
 
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   auto& road_side = cli.add_int("road-side", 512, "road grid side length");
   auto& scale = cli.add_int("scale", 16, "graph500 RMAT scale");
   auto& threads = cli.add_int("threads", 4,
-                              "threads for the sort-parallel variants");
+                              "threads for filter-kruskal");
   auto& reps = cli.add_int("reps", 3, "timed repetitions");
   auto& csv = cli.add_bool("csv", false, "emit CSV");
   ObsCli obs_cli(cli);
@@ -52,17 +52,15 @@ int main(int argc, char** argv) {
     };
 
     add("kruskal");
-    add("kruskal-parallel");
     add("filter-kruskal");
     add("prim");
     add("prim-lazy");
     add("boruvka");
-    add("kkt");
     add("llp-prim");
   }
 
-  std::printf("Sequential / sort-parallel MSF baselines (threads=%lld for "
-              "sort)\n\n",
+  std::printf("Sequential MSF baselines (threads=%lld for filter-kruskal)"
+              "\n\n",
               static_cast<long long>(threads));
   t.print(csv);
   obs_cli.write_table(t);

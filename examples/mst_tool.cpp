@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
   auto& algo_alias = cli.add_string("algo", "", "shorthand for --algorithm");
   auto& list_algos = cli.add_bool(
       "list-algos", false,
-      "print the registered algorithms with their capability flags and exit");
+      "print the registered algorithms and exit");
   auto& scenario_name = cli.add_string(
       "scenario", "",
       "run a named adversarial scenario instead of --input/--generate "
@@ -171,8 +170,8 @@ int main(int argc, char** argv) {
   auto& deadline_ms = cli.add_double(
       "deadline-ms", -1.0,
       "wall-clock budget in ms (> 0; omit for none): --algorithm auto "
-      "falls back to sequential kruskal on expiry; cancellable algorithms "
-      "stop early with a partial result");
+      "falls back to sequential kruskal on expiry; every other algorithm "
+      "stops early with a partial result");
   cli.parse(argc, argv);
   // 0 is rejected, not interpreted: it used to mean "no deadline" on some
   // paths, which made a literal zero-budget request indistinguishable from
@@ -190,13 +189,13 @@ int main(int argc, char** argv) {
     std::printf("Registered MST/MSF algorithms (%zu):\n",
                 mst_algorithms().size());
     for (const MstAlgorithm& a : mst_algorithms()) {
-      std::printf("  %-18s %-17s %s\n", a.name,
+      std::printf("  %-18s %-4s %s\n", a.name,
                   describe_caps(a.caps).c_str(), a.summary);
     }
-    std::printf("\nflags: par|seq parallel, msf|tree forest-capable, "
-                "det deterministic, can cancellable\n"
-                "'auto' picks from this table by thread count, average "
-                "degree and connectivity (see mst/auto.hpp).\n");
+    std::printf("\nflags: par|seq uses the thread pool or not.  Every entry "
+                "returns the minimum\nspanning forest and honours "
+                "--deadline-ms.  'auto' picks from this table by\nthread "
+                "count, average degree and connectivity (see mst/auto.hpp).\n");
     return 0;
   }
 
@@ -353,13 +352,16 @@ int main(int argc, char** argv) {
       }
       list = std::move(*loaded);
       std::printf("Loaded %s\n", input.c_str());
-    } else if (std::optional<EdgeList> generated = generate_by_kind(
-                   generate, static_cast<int>(scale),
-                   static_cast<std::uint64_t>(seed))) {
-      list = std::move(*generated);
     } else {
-      std::fprintf(stderr, "unknown --generate '%s'\n", generate.c_str());
-      return 2;
+      Expected<EdgeList> generated = generate_by_kind(
+          generate, scale, static_cast<std::uint64_t>(seed));
+      if (!generated.ok()) {
+        std::fprintf(stderr, "bad --generate %s --scale %lld: %s\n",
+                     generate.c_str(), static_cast<long long>(scale),
+                     generated.status().message().c_str());
+        return 2;
+      }
+      list = std::move(*generated);
     }
   }
 

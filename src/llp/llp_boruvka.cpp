@@ -22,8 +22,7 @@ MstResult llp_boruvka_configured(const CsrGraph& g, RunContext& ctx,
 MstAlgorithm llp_boruvka_algorithm() {
   return {"llp-boruvka", "LLP-Boruvka",
           "Boruvka with async LLP pointer jumping (Algorithm 6)",
-          {.parallel = true, .msf_capable = true, .deterministic = true,
-           .cancellable = true},
+          {.parallel = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return llp_boruvka(g, ctx);
           }};

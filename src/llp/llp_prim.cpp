@@ -2,17 +2,19 @@
 
 #include <vector>
 
+#include "core/run_context.hpp"
 #include "ds/binary_heap.hpp"
 #include "obs/hw_counters.hpp"
 #include "obs/phase_timer.hpp"
 #include "support/assert.hpp"
+#include "support/cancel.hpp"
 
 namespace llpmst {
 
 MstResult llp_prim(const CsrGraph& g, VertexId root,
-                   const LlpPrimOptions& options) {
+                   const LlpPrimOptions& options, const CancelToken* cancel) {
   const std::size_t n = g.num_vertices();
-  LLPMST_CHECK_MSG(n >= 1, "LLP-Prim requires a non-empty graph");
+  if (n == 0) return {};  // the empty forest
   LLPMST_CHECK(root < n);
 
   obs::PhaseTimer algo_span("llp_prim");
@@ -30,6 +32,7 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
 
   std::size_t num_fixed = 1;
   std::size_t next_root = 0;  // forest-restart scan cursor
+  std::size_t drained = 0;    // R pops: the cancellation poll's step count
   fixed[root] = 1;
   ++r.stats.fixed_via_heap;  // the root counts as the initial heap seed
   bag_r.push_back(root);
@@ -48,6 +51,10 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
     {
       obs::PhaseTimer relax_span("relax");
       while (!bag_r.empty() && num_fixed < n) {
+        if (cancelled_at_stride(cancel, drained++)) {
+          r.stats.outcome = cancel->reason();
+          break;
+        }
         const VertexId j = bag_r.back();
         bag_r.pop_back();
 
@@ -90,8 +97,8 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
       }
     }
 
-    // Everything fixed during the drain: skip the flush.
-    if (num_fixed == n) break;
+    // Everything fixed during the drain (skip the flush), or stopped.
+    if (num_fixed == n || r.stats.outcome != RunOutcome::kOk) break;
 
     // R drained: flush the staged heap updates.  Vertices fixed for free in
     // the meantime never touch the heap — that is the optimization.
@@ -117,14 +124,11 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
       LLPMST_ASSERT(!fixed[j]);
       r.edges.push_back(priority_edge(key));
       next = j;
-    } else if (options.allow_forest) {
-      // Forest extension: component exhausted but vertices remain — start a
-      // new tree from the next unfixed vertex (it becomes that tree's root
-      // and contributes no edge).
+    } else {
+      // Component exhausted but vertices remain (disconnected input): the
+      // next unfixed vertex roots a new tree and contributes no edge.
       while (fixed[next_root]) ++next_root;
       next = static_cast<VertexId>(next_root);
-    } else {
-      break;
     }
     fixed[next] = 1;
     ++num_fixed;
@@ -132,34 +136,21 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
     bag_r.push_back(next);
   }
 
-  LLPMST_CHECK_MSG(num_fixed == n,
-                   "LLP-Prim requires a connected graph; use llp_prim_msf "
-                   "or LLP-Boruvka for forests");
   r.stats.heap = heap.stats();
   record_algo_metrics("llp_prim", r.stats);
   finalize_result(g, r);
   return r;
 }
 
-MstResult llp_prim_msf(const CsrGraph& g) {
-  if (g.num_vertices() == 0) return {};  // empty graph: the empty forest
-  LlpPrimOptions options;
-  options.allow_forest = true;
-  return llp_prim(g, 0, options);
-}
-
-MstResult llp_prim_msf(const CsrGraph& g, RunContext& /*ctx*/) {
-  return llp_prim_msf(g);
+MstResult llp_prim(const CsrGraph& g, RunContext& ctx) {
+  return llp_prim(g, 0, {}, ctx.cancel_token());
 }
 
 MstAlgorithm llp_prim_algorithm() {
   return {"llp-prim", "LLP-Prim (1T)",
           "Prim with early fixing + staged heap inserts (Algorithm 5)",
-          {.parallel = false, .msf_capable = true, .deterministic = true,
-           .cancellable = false},
-          [](const CsrGraph& g, RunContext& ctx) {
-            return llp_prim_msf(g, ctx);
-          }};
+          {.parallel = false},
+          [](const CsrGraph& g, RunContext& ctx) { return llp_prim(g, ctx); }};
 }
 
 }  // namespace llpmst

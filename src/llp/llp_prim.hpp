@@ -15,6 +15,9 @@
 //   * a vertex fixed through R while it sits in the heap has its entry
 //     erased at once, so the heap holds only unfixed vertices and every
 //     pop fixes one.
+//   * beyond the paper, which assumes a connected graph: when the heap
+//     drains with vertices left, the next unfixed vertex roots a new tree,
+//     so the result is the minimum spanning FOREST.
 //
 // The result is the same unique MST, with strictly fewer heap operations —
 // the Fig. 2 single-thread advantage (~20-30%).
@@ -24,6 +27,7 @@
 
 namespace llpmst {
 
+class CancelToken;
 class RunContext;
 
 /// Ablation switches (both on = the paper's algorithm; both off = classic
@@ -31,21 +35,16 @@ class RunContext;
 struct LlpPrimOptions {
   bool mwe_fixing = true;  // early fixing through minimum-weight edges
   bool q_staging = true;   // defer heap inserts until R drains
-  /// Extension beyond the paper: when the heap drains with unfixed vertices
-  /// remaining (disconnected input), restart from a fresh root instead of
-  /// failing — producing the minimum spanning FOREST.  The paper's LLP-Prim
-  /// assumes a connected graph; this is the natural multi-root completion.
-  bool allow_forest = false;
 };
 
+/// `cancel` is polled every kScanStride vertices drained from R; a
+/// triggered token returns the partial forest with the token's outcome.
 [[nodiscard]] MstResult llp_prim(const CsrGraph& g, VertexId root = 0,
-                                 const LlpPrimOptions& options = {});
-
-/// Convenience wrapper: LLP-Prim with forest restarts enabled.
-[[nodiscard]] MstResult llp_prim_msf(const CsrGraph& g);
-/// Uniform registry entry point: forest-safe LLP-Prim (sequential; the
-/// context is unused).  This is what "llp-prim" dispatches to.
-[[nodiscard]] MstResult llp_prim_msf(const CsrGraph& g, RunContext& ctx);
+                                 const LlpPrimOptions& options = {},
+                                 const CancelToken* cancel = nullptr);
+/// Uniform registry entry point (sequential; polls the context's cancel
+/// token).  This is what "llp-prim" dispatches to.
+[[nodiscard]] MstResult llp_prim(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm llp_prim_algorithm();
 

@@ -201,8 +201,7 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
 MstAlgorithm llp_prim_parallel_algorithm() {
   return {"llp-prim-parallel", "LLP-Prim",
           "early-fixing Prim, R drained by the team per super-step",
-          {.parallel = true, .msf_capable = true, .deterministic = true,
-           .cancellable = true},
+          {.parallel = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return llp_prim_parallel(g, ctx);
           }};

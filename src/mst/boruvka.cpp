@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <vector>
 
-#include "support/assert.hpp"
+#include "core/run_context.hpp"
+#include "support/cancel.hpp"
 
 namespace llpmst {
 
-MstResult boruvka(const CsrGraph& g) {
+MstResult boruvka(const CsrGraph& g, const CancelToken* cancel) {
   const std::size_t n = g.num_vertices();
   const std::size_t m = g.num_edges();
 
@@ -16,6 +17,13 @@ MstResult boruvka(const CsrGraph& g) {
   std::vector<VertexId> cid(n);
   std::vector<EdgePriority> best(n);
   std::vector<VertexId> stack;
+  // Each round's traversal and edge sweep poll `cancel` every kScanStride
+  // steps; a stop keeps the forest of the rounds already finished.
+  const auto stopped = [&](std::size_t step) {
+    if (!cancelled_at_stride(cancel, step)) return false;
+    r.stats.outcome = cancel->reason();
+    return true;
+  };
 
   for (;;) {
     ++r.stats.rounds;
@@ -24,11 +32,13 @@ MstResult boruvka(const CsrGraph& g) {
     // BFS(i) loop).  Iterating sources ascending labels each component with
     // its minimum vertex id.
     std::fill(cid.begin(), cid.end(), kInvalidVertex);
-    for (VertexId i = 0; i < n; ++i) {
+    std::size_t visited = 0;
+    for (VertexId i = 0; i < n && r.stats.outcome == RunOutcome::kOk; ++i) {
       if (cid[i] != kInvalidVertex) continue;
       cid[i] = i;
       stack.assign(1, i);
       while (!stack.empty()) {
+        if (stopped(visited++)) break;
         const VertexId u = stack.back();
         stack.pop_back();
         const auto nbrs = g.neighbors(u);
@@ -45,7 +55,8 @@ MstResult boruvka(const CsrGraph& g) {
 
     // Minimum outgoing edge per component (the dist/mwe sweep).
     std::fill(best.begin(), best.end(), kInfinitePriority);
-    for (EdgeId e = 0; e < m; ++e) {
+    for (EdgeId e = 0; e < m && r.stats.outcome == RunOutcome::kOk; ++e) {
+      if (stopped(e)) break;
       const WeightedEdge& we = g.edge(e);
       const VertexId cu = cid[we.u], cv = cid[we.v];
       if (cu == cv) continue;
@@ -53,6 +64,8 @@ MstResult boruvka(const CsrGraph& g) {
       if (p < best[cu]) best[cu] = p;
       if (p < best[cv]) best[cv] = p;
     }
+
+    if (r.stats.outcome != RunOutcome::kOk) break;
 
     // Add every component's mwe (both sides may pick the same edge; the
     // in_tree flag makes the second add a no-op).
@@ -73,13 +86,14 @@ MstResult boruvka(const CsrGraph& g) {
   return r;
 }
 
-MstResult boruvka(const CsrGraph& g, RunContext& /*ctx*/) { return boruvka(g); }
+MstResult boruvka(const CsrGraph& g, RunContext& ctx) {
+  return boruvka(g, ctx.cancel_token());
+}
 
 MstAlgorithm boruvka_algorithm() {
   return {"boruvka", "Boruvka (1T)",
           "sequential Boruvka, faithful per-round BFS (Algorithm 3)",
-          {.parallel = false, .msf_capable = true, .deterministic = true,
-           .cancellable = false},
+          {.parallel = false},
           [](const CsrGraph& g, RunContext& ctx) { return boruvka(g, ctx); }};
 }
 

@@ -11,10 +11,16 @@
 
 namespace llpmst {
 
+class CancelToken;
 class RunContext;
 
-[[nodiscard]] MstResult boruvka(const CsrGraph& g);
-/// Uniform registry entry point (sequential; the context is unused).
+/// `cancel` is polled every kScanStride vertices and edges of each round's
+/// sweeps; a triggered token returns the forest of the finished rounds
+/// with the token's outcome.
+[[nodiscard]] MstResult boruvka(const CsrGraph& g,
+                                const CancelToken* cancel = nullptr);
+/// Uniform registry entry point (sequential; polls the context's cancel
+/// token).
 [[nodiscard]] MstResult boruvka(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm boruvka_algorithm();

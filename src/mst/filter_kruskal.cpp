@@ -7,17 +7,13 @@
 #include "core/run_context.hpp"
 #include "ds/concurrent_union_find.hpp"
 #include "parallel/scan.hpp"
+#include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 #include "support/random.hpp"
 
 namespace llpmst {
 
 namespace {
-
-/// Cancellation / failpoint polling stride, as in kruskal.cpp: the pivot
-/// partition, the parallel filter and the base-case scan poll once per this
-/// many edges, so a deadline lands mid-pass instead of after the recursion.
-constexpr std::size_t kScanStride = 1024;
 
 struct FilterKruskalState {
   const CsrGraph& g;
@@ -150,8 +146,7 @@ MstResult filter_kruskal(const CsrGraph& g, RunContext& ctx) {
 MstAlgorithm filter_kruskal_algorithm() {
   return {"filter-kruskal", "Filter-Kruskal",
           "pivot recursion + parallel component filter (OSS 2009)",
-          {.parallel = true, .msf_capable = true, .deterministic = true,
-           .cancellable = true},
+          {.parallel = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return filter_kruskal(g, ctx);
           }};

@@ -1,6 +1,6 @@
 // Rooted-forest path queries over a set of tree edges: the machinery behind
-// (a) the MSF verifier's cycle-property certificate and (b) the F-light
-// edge filter of the KKT randomized MSF algorithm.
+// the MSF verifier's cycle-property certificate, and the F-light edge test
+// a sampling filter (KKT, Filter-Boruvka) needs.
 //
 // Queries walk ancestor chains (O(path length) per query).  That is the
 // simple, auditable choice: the O(1)-per-query verifiers (King/Komlós) trade

@@ -6,17 +6,13 @@
 #include "core/run_context.hpp"
 #include "ds/union_find.hpp"
 #include "obs/phase_timer.hpp"
+#include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 #include "support/radix_sort.hpp"
 
 namespace llpmst {
 
 namespace {
-/// Cancellation / failpoint polling stride for the union-find scan: cheap
-/// relative to the unite work, fine-grained enough that a deadline or a
-/// user cancel lands mid-scan rather than only at the end.
-constexpr std::size_t kScanStride = 1024;
-
 /// How many edges ahead the scan prefetches the edge record it will unite,
 /// and (closer, once that record has arrived) the union-find parent slots
 /// of its endpoints.  Measured on road-20, er-19 and rmat-19: with the
@@ -127,8 +123,7 @@ MstAlgorithm kruskal_algorithm() {
   return {"kruskal", "Kruskal",
           "radix-sort packed priorities, grow the forest through union-find "
           "(the oracle)",
-          {.parallel = false, .msf_capable = true, .deterministic = true,
-           .cancellable = true},
+          {.parallel = false},
           [](const CsrGraph& g, RunContext& ctx) { return kruskal(g, ctx); }};
 }
 

@@ -20,8 +20,7 @@ MstResult parallel_boruvka(const CsrGraph& g, RunContext& ctx) {
 MstAlgorithm parallel_boruvka_algorithm() {
   return {"parallel-boruvka", "Boruvka",
           "bulk-synchronous Boruvka: sync jumping, exact bundle-min contraction",
-          {.parallel = true, .msf_capable = true, .deterministic = true,
-           .cancellable = true},
+          {.parallel = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return parallel_boruvka(g, ctx);
           }};

@@ -1,5 +1,6 @@
 #include "mst/prim.hpp"
 
+#include "core/run_context.hpp"
 #include "ds/binary_heap.hpp"
 #include "mst/prim_heaps.hpp"
 
@@ -9,13 +10,14 @@ MstResult prim(const CsrGraph& g, VertexId root) {
   return prim_with_heap<BinaryHeap<EdgePriority>>(g, root);
 }
 
-MstResult prim(const CsrGraph& g, RunContext& /*ctx*/) { return prim(g); }
+MstResult prim(const CsrGraph& g, RunContext& ctx) {
+  return prim_with_heap<BinaryHeap<EdgePriority>>(g, 0, ctx.cancel_token());
+}
 
 MstAlgorithm prim_algorithm() {
   return {"prim", "Prim",
           "classic Prim with an indexed binary heap (Fig. 2 baseline)",
-          {.parallel = false, .msf_capable = false, .deterministic = true,
-           .cancellable = false},
+          {.parallel = false},
           [](const CsrGraph& g, RunContext& ctx) { return prim(g, ctx); }};
 }
 

@@ -10,33 +10,53 @@
 
 #include "mst/mst_result.hpp"
 #include "support/assert.hpp"
+#include "support/cancel.hpp"
 
 namespace llpmst {
 
+/// Grows a tree from `root`; when the heap drains with vertices left
+/// (disconnected input), the next unfixed vertex starts a new tree, so the
+/// result is the minimum spanning forest.  `cancel` is polled every
+/// kScanStride fixed vertices; a triggered token returns the partial
+/// forest with the token's outcome.
 template <typename Heap>
-[[nodiscard]] MstResult prim_with_heap(const CsrGraph& g, VertexId root) {
+[[nodiscard]] MstResult prim_with_heap(const CsrGraph& g, VertexId root,
+                                       const CancelToken* cancel = nullptr) {
   const std::size_t n = g.num_vertices();
-  LLPMST_CHECK_MSG(n >= 1, "Prim requires a non-empty graph");
+  MstResult r;
+  if (n == 0) return r;  // the empty forest
   LLPMST_CHECK(root < n);
 
-  MstResult r;
   std::vector<EdgePriority> dist(n, kInfinitePriority);
   std::vector<EdgeId> parent_edge(n, kInvalidEdge);
   std::vector<std::uint8_t> fixed(n, 0);
 
   Heap heap(n);
+  std::size_t num_fixed = 0;
+  std::size_t next_root = 0;  // forest-restart scan cursor
+  VertexId tree_root = root;
   dist[root] = 0;
   heap.push(root, EdgePriority{0});
 
-  std::size_t num_fixed = 0;
-  while (!heap.empty()) {
+  while (num_fixed < n) {
+    if (cancelled_at_stride(cancel, num_fixed)) {
+      r.stats.outcome = cancel->reason();
+      break;
+    }
+    if (heap.empty()) {
+      // Component exhausted: the next unfixed vertex roots a new tree.
+      while (fixed[next_root]) ++next_root;
+      tree_root = static_cast<VertexId>(next_root);
+      dist[tree_root] = 0;
+      heap.push(tree_root, EdgePriority{0});
+    }
     const auto [j, key] = heap.pop();
     if (fixed[j]) continue;  // stale entry (lazy heaps only)
     (void)key;
     fixed[j] = 1;
     ++num_fixed;
     ++r.stats.fixed_via_heap;
-    if (j != root) r.edges.push_back(parent_edge[j]);
+    if (j != tree_root) r.edges.push_back(parent_edge[j]);
 
     const auto nbrs = g.neighbors(j);
     const auto prios = g.arc_priorities(j);
@@ -57,9 +77,6 @@ template <typename Heap>
     }
   }
 
-  LLPMST_CHECK_MSG(num_fixed == n,
-                   "Prim requires a connected graph; use a forest algorithm "
-                   "(Kruskal / Boruvka family) for disconnected inputs");
   r.stats.heap = heap.stats();
   finalize_result(g, r);
   return r;

@@ -10,7 +10,8 @@ namespace llpmst {
 class RunContext;
 
 [[nodiscard]] MstResult prim_lazy(const CsrGraph& g, VertexId root = 0);
-/// Uniform registry entry point (sequential; the context is unused).
+/// Uniform registry entry point (sequential; polls the context's cancel
+/// token every kScanStride fixed vertices).
 [[nodiscard]] MstResult prim_lazy(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm prim_lazy_algorithm();

@@ -2,13 +2,10 @@
 
 #include "llp/llp_boruvka.hpp"
 #include "llp/llp_prim.hpp"
-#include "llp/llp_prim_async.hpp"
 #include "llp/llp_prim_parallel.hpp"
 #include "mst/boruvka.hpp"
 #include "mst/filter_kruskal.hpp"
-#include "mst/kkt.hpp"
 #include "mst/kruskal.hpp"
-#include "mst/kruskal_parallel.hpp"
 #include "mst/parallel_boruvka.hpp"
 #include "mst/prim.hpp"
 #include "mst/prim_lazy.hpp"
@@ -26,13 +23,10 @@ const std::vector<MstAlgorithm>& mst_algorithms() {
       prim_algorithm(),
       prim_lazy_algorithm(),
       boruvka_algorithm(),
-      kkt_algorithm(),
-      kruskal_parallel_algorithm(),
       filter_kruskal_algorithm(),
       parallel_boruvka_algorithm(),
       llp_prim_algorithm(),
       llp_prim_parallel_algorithm(),
-      llp_prim_async_algorithm(),
       llp_boruvka_algorithm(),
   };
   return *table;
@@ -61,12 +55,7 @@ std::string mst_algorithm_names(const char* separator) {
 }
 
 std::string describe_caps(const AlgoCaps& caps) {
-  std::string out;
-  out += caps.parallel ? "par" : "seq";
-  out += caps.msf_capable ? " msf" : " tree";
-  out += caps.deterministic ? " det" : " rnd";
-  out += caps.cancellable ? " can" : " -";
-  return out;
+  return caps.parallel ? "par" : "seq";
 }
 
 }  // namespace llpmst

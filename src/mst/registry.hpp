@@ -1,6 +1,6 @@
 // The MST/MSF algorithm registry: one canonical table of every algorithm in
 // the repo, each entry carrying the canonical (kebab-case) name, a display
-// label, capability flags, and the uniform `MstResult run(g, ctx)` entry
+// label, a parallel flag, and the uniform `MstResult run(g, ctx)` entry
 // point.  Everything that used to hand-maintain an algorithm list —
 // mst_tool's dispatch chain and --algo help text, mst::auto's selection,
 // the benches' record keys, the cross-check tests — iterates this table
@@ -25,25 +25,17 @@ namespace llpmst {
 
 class RunContext;
 
-/// What a registered algorithm can do; consumers filter on these instead of
-/// knowing names.  (The conformance test skips forest inputs for tree-only
-/// entries; --list-algos prints them.  Every entry mst::auto's policy table
-/// names is msf_capable, which its table tests check on forest inputs.)
+/// The one contract every entry follows: it returns the minimum spanning
+/// FOREST of any input (disconnected or empty included), identical on
+/// every run and thread count, and it polls RunContext::cancel_token(),
+/// stopping with a partial forest and stats.outcome != kOk.  The only
+/// thing that varies between entries is whether they use the pool.
 struct AlgoCaps {
   /// Uses the RunContext's thread pool (sequential entries ignore it).
   bool parallel = false;
-  /// Handles disconnected inputs (and the empty graph), producing the
-  /// minimum spanning FOREST.  Tree-only entries require a connected,
-  /// non-empty graph and assert otherwise (the Prim family).
-  bool msf_capable = false;
-  /// Produces the unique priority-ordered MSF bit-identically on every run
-  /// and thread count.  (Every current entry does; the flag exists so a
-  /// future heuristic/approximate entry is skipped by exact cross-checks.)
-  bool deterministic = true;
-  /// Polls RunContext::cancel_token() and stops cooperatively (partial
-  /// result, stats.outcome != kOk).  Non-cancellable entries run to
-  /// completion regardless of the token.
-  bool cancellable = false;
+  /// Always true: every entry returns the forest.  Kept as a constant only
+  /// for callers that still read it.
+  static constexpr bool msf_capable = true;
 };
 
 /// One registry entry.  `name` is the canonical id used by `mst_tool
@@ -69,13 +61,12 @@ struct MstAlgorithm {
 /// (mst::auto, benches) where a miss is a programming error, not input.
 [[nodiscard]] const MstAlgorithm& mst_algorithm(std::string_view name);
 
-/// "kruskal | kruskal-parallel | ..." — the --algo help text, generated so
+/// "kruskal | prim | ..." — the --algo help text, generated so
 /// it cannot drift from the registry.
 [[nodiscard]] std::string mst_algorithm_names(const char* separator = " | ");
 
-/// Compact flag rendering for --list-algos / docs checks: one token per
-/// capability — "par|seq", "msf|tree", "det|rnd", "can|-" — joined by
-/// single spaces.  Example: "seq msf det -" for Kruskal.
+/// The caps token for --list-algos and the README table check: "par" or
+/// "seq".
 [[nodiscard]] std::string describe_caps(const AlgoCaps& caps);
 
 }  // namespace llpmst

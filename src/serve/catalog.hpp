@@ -13,10 +13,9 @@
 //     reclaimed when the last holder drops it.  A load over an existing
 //     name is rejected (unload first), so a name never silently changes
 //     meaning between two queries of one client script;
-//   * the component count is computed at load time, which is what lets
-//     admission reject a tree-only algorithm on a forest BEFORE queueing
-//     (and lets every query seed its RunContext's connectivity cache
-//     instead of recomputing a union-find per request).
+//   * the component count is computed at load time, which lets every
+//     query seed its RunContext's connectivity cache instead of
+//     recomputing a union-find per request.
 //
 // Sources accepted by load():
 //   scenario:NAME  — the PR-7 scenario registry (seed overrides supported)

@@ -295,16 +295,6 @@ void QueryService::submit_query(const Json& request, std::uint64_t client,
                  mst_algorithm_names() + ")");
       return;
     }
-    // Capability filtering at admission: a tree-only entry would abort the
-    // PROCESS on a forest (the Prim family asserts connectivity), so the
-    // mismatch must be caught here, where it costs one rejected request.
-    if (!entry->caps.msf_capable && snapshot->components != 1) {
-      reject(StatusCode::kInvalidArgument,
-             "algorithm '" + algo + "' requires a connected graph but '" +
-                 graph + "' has " + std::to_string(snapshot->components) +
-                 " components; use an msf-capable algorithm or auto");
-      return;
-    }
   }
 
   double budget_ms = -1;

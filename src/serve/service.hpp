@@ -6,9 +6,9 @@
 //   handle(line) ── parse ──> admission ── enqueue ──> worker ──> respond
 //
 // Admission happens on the CALLER's thread and is synchronous: a request
-// that cannot run (unknown graph/algo, capability mismatch, bad budget,
-// queue full) is rejected with a structured serve-response envelope before
-// it ever costs a queue slot.  The two contracts worth naming:
+// that cannot run (unknown graph/algo, bad budget, queue full) is rejected
+// with a structured serve-response envelope before it ever costs a queue
+// slot.  The two contracts worth naming:
 //
 //   * every query runs in its OWN RunContext: own deadline token (armed
 //     from the request's budget_ms and observing the per-query cancel

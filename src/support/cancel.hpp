@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -104,6 +105,19 @@ class CancelToken {
   std::atomic<std::uint64_t> deadline_ns_{0};  // steady epoch ns; 0 = none
   std::atomic<const CancelToken*> parent_{nullptr};  // borrowed; may be null
 };
+
+/// How many steps (edges scanned, vertices fixed) a sequential loop runs
+/// between two polls of its token: cheap next to the work, fine-grained
+/// enough that a deadline lands mid-run rather than at the end.
+inline constexpr std::size_t kScanStride = 1024;
+
+/// The stride poll: true when `step` is a multiple of kScanStride and
+/// `cancel` (null means "never") has triggered.  Step 0 polls, so an
+/// already-cancelled token stops a run before its first step.
+[[nodiscard]] inline bool cancelled_at_stride(const CancelToken* cancel,
+                                              std::size_t step) {
+  return step % kScanStride == 0 && cancel != nullptr && cancel->cancelled();
+}
 
 /// Cancels a token after `timeout_ms` unless disarmed first.  The watchdog
 /// thread sleeps on a condition variable, so disarming (or destruction) is

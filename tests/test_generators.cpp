@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/algorithms/connected_components.hpp"
+#include "graph/generators/by_kind.hpp"
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/rmat.hpp"
 #include "graph/generators/road.hpp"
@@ -11,6 +12,27 @@
 
 namespace llpmst {
 namespace {
+
+// ---------------------------------------------------------------- by kind
+
+TEST(GenerateByKind, RejectsOutOfRangeScales) {
+  // Scale 0 would abort in generate_rmat, and a negative scale is a
+  // negative shift for road and er: both must come back as errors.
+  for (const char* kind : {"road", "rmat", "er"}) {
+    for (const std::int64_t scale : {0, -2, 31}) {
+      const Expected<EdgeList> r = generate_by_kind(kind, scale, 1);
+      ASSERT_FALSE(r.ok()) << kind << " " << scale;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("[1, 30]"), std::string::npos)
+          << r.status().message();
+    }
+    const Expected<EdgeList> smallest = generate_by_kind(kind, 1, 1);
+    ASSERT_TRUE(smallest.ok()) << kind << ": " << smallest.status().message();
+    EXPECT_GE(smallest->num_vertices(), 1u) << kind;
+  }
+  EXPECT_EQ(generate_by_kind("grid", 10, 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
 
 // ---------------------------------------------------------------- rmat
 

@@ -1,4 +1,4 @@
-// kruskal_parallel and filter_kruskal against the plain Kruskal oracle.
+// filter_kruskal, the parallel Kruskal, against the plain Kruskal oracle.
 // (They are also swept by test_mst_property; this file covers their
 // specific mechanics.)
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "graph/generators/special.hpp"
 #include "mst/filter_kruskal.hpp"
 #include "mst/kruskal.hpp"
-#include "mst/kruskal_parallel.hpp"
 #include "mst/verifier.hpp"
 #include "obs/mem_stats.hpp"
 #include "support/cancel.hpp"
@@ -61,11 +60,12 @@ std::function<Weight(std::uint64_t)> only(Weight varying, Weight fixed) {
 TEST_P(KruskalVariants, ParallelKruskalMatchesOracle) {
   // kruskal radix-sorts the weight half of the packed priorities in three
   // 11-bit passes and skips a pass whose digit every weight shares;
-  // kruskal_parallel merge-sorts the whole priority, so it is a reference
-  // that shares no sort code.  The inputs below hit every skip pattern.
+  // filter_kruskal partitions around pivots and std::sorts its base cases,
+  // so it is a reference that shares no sort code.  The inputs below hit
+  // every skip pattern.
   const auto check = [&](const CsrGraph& g, const char* label) {
     const MstResult r = kruskal(g);
-    EXPECT_EQ(kruskal_parallel(g, ctx_).edges, r.edges) << label;
+    EXPECT_EQ(filter_kruskal(g, ctx_).edges, r.edges) << label;
     const VerifyResult v = verify_msf(g, r);
     EXPECT_TRUE(v.ok) << label << ": " << v.error;
   };
@@ -196,13 +196,11 @@ TEST_P(KruskalVariants, ParallelKruskalOnRmat) {
   p.edge_factor = 10;
   p.seed = 4;
   const CsrGraph g = csr(generate_rmat(p));
-  EXPECT_EQ(kruskal_parallel(g, ctx_).edges, kruskal(g).edges);
   EXPECT_EQ(filter_kruskal(g, ctx_).edges, kruskal(g).edges);
 }
 
 TEST_P(KruskalVariants, TrivialGraphs) {
   const CsrGraph empty = csr(EdgeList(1));
-  EXPECT_TRUE(kruskal_parallel(empty, ctx_).edges.empty());
   EXPECT_TRUE(filter_kruskal(empty, ctx_).edges.empty());
   EdgeList two(2);
   two.add_edge(0, 1, 9);

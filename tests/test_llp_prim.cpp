@@ -109,21 +109,17 @@ TEST(LlpPrim, HeapNeverHoldsAFixedVertex) {
     const MstResult reference = kruskal(*g);
     for (const bool mwe : {false, true}) {
       for (const bool q : {false, true}) {
-        for (const bool allow_forest : {false, true}) {
-          if (reference.num_trees > 1 && !allow_forest) continue;
-          LlpPrimOptions o;
-          o.mwe_fixing = mwe;
-          o.q_staging = q;
-          o.allow_forest = allow_forest;
-          const MstResult r = llp_prim(*g, 0, o);
-          const HeapStats& h = r.stats.heap;
-          ASSERT_EQ(r.edges, reference.edges);
-          EXPECT_EQ(h.pops, r.stats.fixed_via_heap - r.num_trees)
-              << "mwe=" << mwe << " q=" << q << " forest=" << allow_forest;
-          EXPECT_EQ(h.pushes, h.pops + h.erases);
-          if (!mwe) {
-            EXPECT_EQ(h.erases, 0u);
-          }
+        LlpPrimOptions o;
+        o.mwe_fixing = mwe;
+        o.q_staging = q;
+        const MstResult r = llp_prim(*g, 0, o);
+        const HeapStats& h = r.stats.heap;
+        ASSERT_EQ(r.edges, reference.edges);
+        EXPECT_EQ(h.pops, r.stats.fixed_via_heap - r.num_trees)
+            << "mwe=" << mwe << " q=" << q;
+        EXPECT_EQ(h.pushes, h.pops + h.erases);
+        if (!mwe) {
+          EXPECT_EQ(h.erases, 0u);
         }
       }
     }
@@ -132,7 +128,7 @@ TEST(LlpPrim, HeapNeverHoldsAFixedVertex) {
 
 TEST(LlpPrimForest, RestartsProduceTheMsf) {
   const CsrGraph g = csr(make_forest(4, 60, 11));
-  const MstResult r = llp_prim_msf(g);
+  const MstResult r = llp_prim(g);
   EXPECT_EQ(r.edges, kruskal(g).edges);
   EXPECT_EQ(r.num_trees, 4u);
 }
@@ -143,19 +139,14 @@ TEST(LlpPrimForest, IsolatedVerticesBecomeTrivialTrees) {
   list.add_edge(1, 2, 3);
   list.normalize();  // vertices 3, 4, 5 isolated
   const CsrGraph g = csr(list);
-  const MstResult r = llp_prim_msf(g);
+  const MstResult r = llp_prim(g);
   EXPECT_EQ(r.edges.size(), 2u);
   EXPECT_EQ(r.num_trees, 4u);
 }
 
-TEST(LlpPrimForest, ConnectedGraphUnchangedByFlag) {
-  const CsrGraph g = medium_connected_graph(7);
-  EXPECT_EQ(llp_prim_msf(g).edges, llp_prim(g).edges);
-}
-
 TEST(LlpPrimForest, EdgelessGraph) {
   const CsrGraph g = csr(EdgeList(5));
-  const MstResult r = llp_prim_msf(g);
+  const MstResult r = llp_prim(g);
   EXPECT_TRUE(r.edges.empty());
   EXPECT_EQ(r.num_trees, 5u);
 }
@@ -191,7 +182,7 @@ TEST_P(LlpPrimParallel, DenseRmatGraph) {
 }
 
 TEST_P(LlpPrimParallel, ForestMatchesKruskal) {
-  // A drained heap restarts from the next unfixed vertex, as llp_prim_msf
+  // A drained heap restarts from the next unfixed vertex, as llp_prim
   // does; the heap follows the same erase rule, so every pop fixes a vertex.
   ThreadPool pool(static_cast<std::size_t>(GetParam()));
   RmatParams p;

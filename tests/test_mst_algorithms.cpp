@@ -113,7 +113,6 @@ TEST(MstAlgorithms, ForestAlgorithmsHandleDisconnected) {
   const MstResult reference = kruskal(g);
   EXPECT_EQ(reference.num_trees, 3u);
   for (const auto& algo : all_msf_algorithms()) {
-    if (algo.connected_only) continue;
     const MstResult r = algo.run(g, pool);
     EXPECT_EQ(r.edges, reference.edges) << algo.name;
     EXPECT_EQ(r.num_trees, 3u) << algo.name;
@@ -127,19 +126,27 @@ TEST(MstAlgorithms, IsolatedVerticesCountAsTrees) {
   const CsrGraph g = csr(list);
   ThreadPool pool(2);
   for (const auto& algo : all_msf_algorithms()) {
-    if (algo.connected_only) continue;
     const MstResult r = algo.run(g, pool);
     EXPECT_EQ(r.edges.size(), 1u) << algo.name;
     EXPECT_EQ(r.num_trees, 4u) << algo.name;
   }
 }
 
-TEST(MstAlgorithmsDeathTest, PrimFamilyRejectsDisconnected) {
+TEST(MstAlgorithms, PrimFamilyReturnsKruskalsForestOnDisconnected) {
+  // A drained heap restarts from the next unfixed vertex, from any root.
   const EdgeList list = make_forest(2, 5, 3);
   const CsrGraph g = csr(list);
-  EXPECT_DEATH((void)prim(g), "connected");
-  EXPECT_DEATH((void)prim_lazy(g), "connected");
-  EXPECT_DEATH((void)llp_prim(g, 0), "connected");
+  const MstResult reference = kruskal(g);
+  ASSERT_EQ(reference.num_trees, 2u);
+  for (const VertexId root : {VertexId{0}, VertexId{7}}) {
+    SCOPED_TRACE(testing::Message() << "root " << root);
+    for (const MstResult& r :
+         {prim(g, root), prim_lazy(g, root), llp_prim(g, root)}) {
+      EXPECT_EQ(r.edges, reference.edges);
+      EXPECT_EQ(r.num_trees, 2u);
+      EXPECT_EQ(r.total_weight, reference.total_weight);
+    }
+  }
 }
 
 TEST(MstAlgorithms, PrimRootChoiceDoesNotChangeTree) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <tuple>
 
-#include "graph/algorithms/connected_components.hpp"
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/rmat.hpp"
 #include "graph/generators/road.hpp"
@@ -88,7 +87,6 @@ TEST_P(MsfEquivalence, AllAlgorithmsAgreeAndVerify) {
   const auto [family, size_class, seed, threads] = GetParam();
   EdgeList list = make_graph(family, size_class, static_cast<std::uint64_t>(seed));
   const CsrGraph g = csr(list);
-  const bool connected = connected_components(list).num_components == 1;
 
   ThreadPool pool(static_cast<std::size_t>(threads));
   const MstResult reference = kruskal(g);
@@ -98,7 +96,6 @@ TEST_P(MsfEquivalence, AllAlgorithmsAgreeAndVerify) {
   }
 
   for (const auto& algo : all_msf_algorithms()) {
-    if (algo.connected_only && !connected) continue;
     const MstResult r = algo.run(g, pool);
     ASSERT_EQ(r.edges, reference.edges)
         << algo.name << " on " << family_name(family) << " size "

@@ -2,10 +2,10 @@
 // mst_algorithms() rather than a hand-maintained list, is run through a
 // fixed workload matrix (sparse, dense, forest, empty, single-vertex) and
 // must (a) match the Kruskal oracle bit for bit and (b) pass the exact
-// minimality verifier.  Capability flags gate the matrix: tree-only
-// algorithms (caps.msf_capable == false) skip the disconnected workloads
-// instead of being special-cased by name.  A new algorithm registered in
-// src/mst/registry.cpp is covered here with zero test edits.
+// minimality verifier.  Every entry runs every workload, forests included:
+// the registry has one contract and no capability to skip on.  A new
+// algorithm registered in src/mst/registry.cpp is covered here with zero
+// test edits.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -29,7 +29,6 @@ using test::csr;
 
 struct ConformanceCase {
   const char* name;
-  bool connected;  // tree-only algorithms run only when true
   CsrGraph graph;
 };
 
@@ -42,7 +41,7 @@ std::vector<ConformanceCase> conformance_cases() {
   sparse.seed = 21;
   EdgeList sparse_list = generate_erdos_renyi(sparse);
   connect_components(sparse_list);
-  cases.push_back({"sparse", true, csr(sparse_list)});
+  cases.push_back({"sparse", csr(sparse_list)});
 
   ErdosRenyiParams dense;
   dense.num_vertices = 300;
@@ -50,11 +49,11 @@ std::vector<ConformanceCase> conformance_cases() {
   dense.seed = 22;
   EdgeList dense_list = generate_erdos_renyi(dense);
   connect_components(dense_list);
-  cases.push_back({"dense", true, csr(dense_list)});
+  cases.push_back({"dense", csr(dense_list)});
 
-  cases.push_back({"forest", false, csr(make_forest(4, 60, 23))});
-  cases.push_back({"empty", false, csr(EdgeList(0))});
-  cases.push_back({"single-vertex", true, csr(EdgeList(1))});
+  cases.push_back({"forest", csr(make_forest(4, 60, 23))});
+  cases.push_back({"empty", csr(EdgeList(0))});
+  cases.push_back({"single-vertex", csr(EdgeList(1))});
   return cases;
 }
 
@@ -70,7 +69,6 @@ TEST_P(RegistryConformance, EveryAlgorithmMatchesKruskalAndVerifies) {
     SCOPED_TRACE(c.name);
     const MstResult reference = kruskal(c.graph);
     for (const MstAlgorithm& algo : mst_algorithms()) {
-      if (!c.connected && !algo.caps.msf_capable) continue;  // tree-only
       SCOPED_TRACE(algo.name);
       const MstResult r = algo.run(c.graph, ctx);
       EXPECT_EQ(r.edges, reference.edges);
@@ -90,7 +88,6 @@ TEST_P(RegistryConformance, ScratchReuseAcrossAlgorithmsIsClean) {
   const CsrGraph big = csr(make_complete(40, 31));
   const CsrGraph small = csr(make_forest(3, 10, 32));
   for (const MstAlgorithm& algo : mst_algorithms()) {
-    if (!algo.caps.msf_capable) continue;
     SCOPED_TRACE(algo.name);
     const MstResult b1 = algo.run(big, ctx);
     const MstResult s1 = algo.run(small, ctx);
@@ -104,57 +101,53 @@ TEST_P(RegistryConformance, ScratchReuseAcrossAlgorithmsIsClean) {
 }
 
 TEST(RegistryInvariants, NamesAreUniqueNonEmptyAndLookupRoundTrips) {
-  std::set<std::string> names;
+  std::vector<std::string> names;
   for (const MstAlgorithm& a : mst_algorithms()) {
     ASSERT_NE(a.name, nullptr);
     ASSERT_NE(a.label, nullptr);
     ASSERT_NE(a.summary, nullptr);
     ASSERT_NE(a.run, nullptr);
     EXPECT_FALSE(std::string(a.name).empty());
-    EXPECT_TRUE(names.insert(a.name).second) << "duplicate: " << a.name;
+    names.emplace_back(a.name);
     const MstAlgorithm* found = find_mst_algorithm(a.name);
     ASSERT_NE(found, nullptr) << a.name;
     EXPECT_EQ(found, &a) << a.name;  // lookup returns the entry itself
   }
-  EXPECT_GE(names.size(), 12u);
+  // Exactly these entries, in presentation order: a silently dropped,
+  // added or duplicated entry fails here.
+  const std::vector<std::string> expected{
+      "kruskal", "prim", "prim-lazy", "boruvka", "filter-kruskal",
+      "parallel-boruvka", "llp-prim", "llp-prim-parallel", "llp-boruvka"};
+  EXPECT_EQ(names, expected);
   EXPECT_EQ(find_mst_algorithm("no-such-algorithm"), nullptr);
   // "auto" is a policy over the registry, not an entry in it.
   EXPECT_EQ(find_mst_algorithm("auto"), nullptr);
 }
 
 TEST(RegistryInvariants, CapabilityFlagsMatchKnownEntries) {
-  // Spot-check the flags the selection policy and the tests key off.
-  EXPECT_FALSE(mst_algorithm("kruskal").caps.parallel);
-  EXPECT_TRUE(mst_algorithm("kruskal").caps.msf_capable);
-  EXPECT_FALSE(mst_algorithm("prim").caps.msf_capable);
-  EXPECT_TRUE(mst_algorithm("llp-boruvka").caps.parallel);
-  EXPECT_TRUE(mst_algorithm("llp-boruvka").caps.cancellable);
-  EXPECT_TRUE(mst_algorithm("parallel-boruvka").caps.cancellable);
-  EXPECT_FALSE(mst_algorithm("llp-prim").caps.parallel);
-  EXPECT_TRUE(mst_algorithm("llp-prim-parallel").caps.parallel);
-  EXPECT_TRUE(mst_algorithm("llp-prim-parallel").caps.msf_capable);
+  // `parallel` is the one flag; it says whether the entry uses the pool.
+  const std::set<std::string> parallel{"filter-kruskal", "parallel-boruvka",
+                                       "llp-prim-parallel", "llp-boruvka"};
+  for (const MstAlgorithm& a : mst_algorithms()) {
+    EXPECT_EQ(a.caps.parallel, parallel.count(a.name) == 1) << a.name;
+  }
 }
 
 TEST(RegistryInvariants, DescribeCapsFormat) {
+  // One token per entry, the one --list-algos and the README table carry.
   AlgoCaps caps;
   caps.parallel = true;
-  caps.msf_capable = true;
-  caps.deterministic = true;
-  caps.cancellable = true;
-  EXPECT_EQ(describe_caps(caps), "par msf det can");
+  EXPECT_EQ(describe_caps(caps), "par");
   caps.parallel = false;
-  caps.msf_capable = false;
-  caps.cancellable = false;
-  EXPECT_EQ(describe_caps(caps), "seq tree det -");
+  EXPECT_EQ(describe_caps(caps), "seq");
 }
 
 TEST(RegistryInvariants, CancellableEntriesHonourAPreCancelledToken) {
-  // The cancellable flag is a promise: a pre-cancelled context must stop
-  // the run early with a kCancelled outcome, not grind to completion.
+  // Every entry polls its token: a pre-cancelled context must stop the run
+  // early with a kCancelled outcome, not grind to completion.
   ThreadPool pool(2);
   const CsrGraph g = csr(make_complete(64, 33));
   for (const MstAlgorithm& a : mst_algorithms()) {
-    if (!a.caps.cancellable) continue;
     SCOPED_TRACE(a.name);
     CancelToken token;
     token.cancel();

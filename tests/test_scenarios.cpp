@@ -93,7 +93,6 @@ TEST(ScenarioConformance, AllScenariosMatchKruskalAcrossAlgorithms) {
     for (const char* name : algos) {
       const MstAlgorithm* algo = find_mst_algorithm(name);
       ASSERT_NE(algo, nullptr) << name;
-      if (s.expect.min_components > 1 && !algo->caps.msf_capable) continue;
       RunContext ctx(pool);
       const MstResult r = algo->run(g, ctx);
       const std::string violation = check_scenario_result(s, g, r);

@@ -270,27 +270,23 @@ TEST(QueryService, AdmissionRejectsStructuredErrors) {
   service.handle(R"({"op":"query","graph":"road","budget_ms":-3})", 0,
                  sink.fn());
   service.handle(R"({"op":"query","graph":7})", 0, sink.fn());
-  // Capability filter: "prim" is tree-only (!msf_capable), the forest has
-  // many components — admission must reject, or the algorithm would abort
-  // the process.
-  service.handle(R"({"op":"query","graph":"forest","algo":"prim"})", 0,
-                 sink.fn());
 
-  ASSERT_EQ(sink.count(), 8u);  // all rejected synchronously
-  for (std::size_t i = 0; i < 8; ++i) {
+  ASSERT_EQ(sink.count(), 7u);  // all rejected synchronously
+  for (std::size_t i = 0; i < 7; ++i) {
     const Json doc = sink.parsed(i);
     EXPECT_EQ(doc.get_string("status", ""), "error") << i;
     EXPECT_EQ(error_code(doc), "INVALID_ARGUMENT") << i;
   }
-  EXPECT_EQ(service.stats().rejected, 8u);
+  EXPECT_EQ(service.stats().rejected, 7u);
   EXPECT_EQ(service.stats().admitted, 0u);
 
-  // An msf-capable algorithm on the same forest is admitted and runs.
-  service.handle(R"({"op":"query","graph":"forest","algo":"llp-boruvka"})", 0,
+  // Every entry returns the forest, so "prim" on a many-component graph is
+  // admitted and answers with the forest.
+  service.handle(R"({"op":"query","graph":"forest","algo":"prim"})", 0,
                  sink.fn());
   EXPECT_EQ(service.drain_one(), 1u);
-  ASSERT_EQ(sink.count(), 9u);
-  EXPECT_EQ(request_status(sink.parsed(8)), "ok");
+  ASSERT_EQ(sink.count(), 8u);
+  EXPECT_EQ(request_status(sink.parsed(7)), "ok");
 }
 
 TEST(QueryService, QueueFullRejectsOverloaded) {

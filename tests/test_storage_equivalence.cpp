@@ -37,7 +37,6 @@ using test::csr;
 
 struct BackendCase {
   const char* name;
-  bool connected;  // tree-only algorithms run only when true
   CsrGraph heap;
   CsrGraph mmap;
 };
@@ -54,8 +53,8 @@ class StorageEquivalence : public testing::TestWithParam<int> {
 
   /// Heap-built and packed+mmapped copies of one edge list.  The mmap copy
   /// round-trips through an llpmstb file with full payload verification.
-  BackendCase both(const char* name, bool connected, const EdgeList& list) {
-    BackendCase c{name, connected, csr(list), {}};
+  BackendCase both(const char* name, const EdgeList& list) {
+    BackendCase c{name, csr(list), {}};
     const std::string file = (dir_ / (std::string(name) + ".llpmstb")).string();
     EXPECT_TRUE(write_binary_csr(file, c.heap).ok()) << name;
     BinaryCsrOptions opts;
@@ -74,7 +73,7 @@ class StorageEquivalence : public testing::TestWithParam<int> {
     sparse.seed = 21;
     EdgeList sparse_list = generate_erdos_renyi(sparse);
     connect_components(sparse_list);
-    out.push_back(both("sparse", true, sparse_list));
+    out.push_back(both("sparse", sparse_list));
 
     ErdosRenyiParams dense;
     dense.num_vertices = 300;
@@ -82,11 +81,11 @@ class StorageEquivalence : public testing::TestWithParam<int> {
     dense.seed = 22;
     EdgeList dense_list = generate_erdos_renyi(dense);
     connect_components(dense_list);
-    out.push_back(both("dense", true, dense_list));
+    out.push_back(both("dense", dense_list));
 
-    out.push_back(both("forest", false, make_forest(4, 60, 23)));
-    out.push_back(both("empty", false, EdgeList(0)));
-    out.push_back(both("single-vertex", true, EdgeList(1)));
+    out.push_back(both("forest", make_forest(4, 60, 23)));
+    out.push_back(both("empty", EdgeList(0)));
+    out.push_back(both("single-vertex", EdgeList(1)));
     return out;
   }
 
@@ -125,7 +124,6 @@ TEST_P(StorageEquivalence, EveryAlgorithmIsBitIdenticalAcrossBackends) {
     SCOPED_TRACE(c.name);
     const MstResult reference = kruskal(c.heap);
     for (const MstAlgorithm& algo : mst_algorithms()) {
-      if (!c.connected && !algo.caps.msf_capable) continue;  // tree-only
       SCOPED_TRACE(algo.name);
       const MstResult on_heap = algo.run(c.heap, ctx);
       const MstResult on_mmap = algo.run(c.mmap, ctx);

@@ -17,22 +17,19 @@ namespace llpmst::test {
 /// Builds a CSR graph from an already-normalized edge list.
 inline CsrGraph csr(const EdgeList& list) { return CsrGraph::build(list); }
 
-/// Named MSF algorithm for sweep-style tests.  `connected_only` marks the
-/// Prim family, which requires connected inputs.
+/// Named MSF algorithm for sweep-style tests.
 struct MsfAlgo {
   std::string name;
-  bool connected_only;
   std::function<MstResult(const CsrGraph&, ThreadPool&)> run;
 };
 
 /// Every MSF implementation in the library, all expected to produce the
 /// identical (unique) forest.  Driven by the registry: a newly registered
-/// algorithm is swept by these tests with zero edits here, and
-/// `connected_only` comes straight from its capability flags.
+/// algorithm is swept by these tests with zero edits here.
 inline std::vector<MsfAlgo> all_msf_algorithms() {
   std::vector<MsfAlgo> out;
   for (const MstAlgorithm& a : mst_algorithms()) {
-    out.push_back({a.name, !a.caps.msf_capable,
+    out.push_back({a.name,
                    [algo = &a](const CsrGraph& g, ThreadPool& pool) {
                      RunContext ctx(pool);
                      return algo->run(g, ctx);

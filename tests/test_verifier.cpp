@@ -4,6 +4,7 @@
 
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/special.hpp"
+#include "mst/forest_path.hpp"
 #include "mst/kruskal.hpp"
 #include "mst/verifier.hpp"
 #include "support/random.hpp"
@@ -254,6 +255,59 @@ TEST(FinalizeResult, OutOfRangeIdStillFailsVerification) {
   const VerifyResult v = verify_spanning_forest(g, r);
   EXPECT_FALSE(v.ok);
   EXPECT_NE(v.error.find("out of range"), std::string::npos);
+}
+
+// ---------------------------------------------------- forest path index
+
+TEST(ForestPathIndex, PathGraphQueries) {
+  // Path 0-1-2-3 with weights 10, 20, 5.
+  EdgeList list(4);
+  list.add_edge(0, 1, 10);
+  list.add_edge(1, 2, 20);
+  list.add_edge(2, 3, 5);
+  list.normalize();
+  const CsrGraph g = csr(list);
+  std::vector<EdgeId> all{0, 1, 2};
+  const ForestPathIndex idx(g, all);
+
+  EXPECT_TRUE(idx.connected(0, 3));
+  EXPECT_EQ(priority_weight(idx.max_on_path(0, 3)), 20u);
+  EXPECT_EQ(priority_weight(idx.max_on_path(2, 3)), 5u);
+  EXPECT_EQ(idx.max_on_path(1, 1), 0u);
+}
+
+TEST(ForestPathIndex, DisconnectedTrees) {
+  EdgeList list(4);
+  list.add_edge(0, 1, 7);
+  list.add_edge(2, 3, 9);
+  list.normalize();
+  const CsrGraph g = csr(list);
+  const ForestPathIndex idx(g, {0, 1});
+  EXPECT_FALSE(idx.connected(0, 2));
+  EXPECT_TRUE(idx.connected(2, 3));
+  // Cross-tree edges are always light.
+  EXPECT_TRUE(idx.is_light(0, 2, make_priority(1000, 5)));
+}
+
+TEST(ForestPathIndex, IsLightMatchesCycleProperty) {
+  const CsrGraph g = csr(make_paper_figure1());
+  const MstResult mst = kruskal(g);
+  const ForestPathIndex idx(g, mst.edges);
+  // Tree edges ARE light w.r.t. their own tree (they equal the path max and
+  // heaviness is strict), so a filter on this test keeps the forest's edges.
+  for (const EdgeId e : mst.edges) {
+    const WeightedEdge& we = g.edge(e);
+    EXPECT_TRUE(idx.is_light(we.u, we.v, g.edge_priority(e)));
+  }
+  // Non-tree edges of an MST are F-heavy (cycle property).
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (std::find(mst.edges.begin(), mst.edges.end(), e) != mst.edges.end()) {
+      continue;
+    }
+    const WeightedEdge& we = g.edge(e);
+    EXPECT_FALSE(idx.is_light(we.u, we.v, g.edge_priority(e)))
+        << "edge " << e;
+  }
 }
 
 }  // namespace

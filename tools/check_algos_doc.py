@@ -2,11 +2,11 @@
 """Assert the README algorithm table matches `mst_tool --list-algos`.
 
 The registry (src/mst/registry.cpp) is the single source of truth for
-algorithm names, capability flags, and summaries.  The README carries a
+algorithm names, the par|seq flag, and summaries.  The README carries a
 human-readable copy between `<!-- mst-algorithms:begin -->` and
 `<!-- mst-algorithms:end -->` markers; this script re-derives the table
 from the built binary and fails CI when the two drift (a renamed entry,
-a flipped capability flag, an algorithm added to one side only).
+a flipped par|seq flag, an algorithm added to one side only).
 
     tools/check_algos_doc.py --tool build/examples/mst_tool [--readme README.md]
 """
@@ -18,8 +18,8 @@ from pathlib import Path
 
 BEGIN = "<!-- mst-algorithms:begin -->"
 END = "<!-- mst-algorithms:end -->"
-# describe_caps() emits exactly four single-space-separated tokens.
-NUM_FLAG_TOKENS = 4
+# describe_caps() emits exactly one token: "par" or "seq".
+NUM_FLAG_TOKENS = 1
 
 
 def parse_tool(tool: str):

@@ -2,9 +2,9 @@
 """Assert auto's policy table picks a measured-fast entry in every cell.
 
 bench/baselines/regime-matrix.json holds bench_regime_matrix's llpmst-bench
-records: every forest-capable registry entry, and auto, on packed road-20,
-er-19 and rmat-19 at 1, 2 and 4 threads.  For each (graph, threads) cell this
-script asks the built mst_tool which entry `--algo auto` runs there (a graph
+records: the registry entries, and auto, on packed road-20, er-19 and
+rmat-19 at 1, 2 and 4 threads.  For each (graph, threads) cell this script
+asks the built mst_tool which entry `--algo auto` runs there (a graph
 named KIND-SCALE is `--generate KIND --scale SCALE`, packed once and mounted
 at each thread count) and fails when that entry's recorded median is more
 than 10% above the cell's best, or was not measured.  It also fails when a

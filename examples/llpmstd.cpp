@@ -101,9 +101,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The daemon is an observability citizen from the start: counters and
-  // phase aggregates accumulate across queries and surface on /stats.  In
-  // an LLPMST_OBS=0 build this is a no-op and /stats still renders the
+  // The daemon is an observability citizen from the start: every query
+  // records into its own run scope and answers with a report of that query
+  // alone, while the daemon-wide serve/* counters surface on /stats.  In an
+  // LLPMST_OBS=0 build this is a no-op and /stats still renders the
   // minimal valid document.
   obs::set_enabled(true);
   // Chaos comes from the environment only ($LLPMST_FAILPOINTS): a daemon

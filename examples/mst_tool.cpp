@@ -38,8 +38,8 @@
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/profiler.hpp"
+#include "obs/recorder.hpp"
 #include "obs/report.hpp"
-#include "obs/sched_events.hpp"
 #include "obs/trace.hpp"
 #include "scenario/repro.hpp"
 #include "scenario/scenario.hpp"
@@ -264,10 +264,7 @@ int main(int argc, char** argv) {
   // the timing aggregates — the stack-only gate keeps hot-loop PhaseTimer
   // scopes at a few relaxed stores each (full metrics subsume it).
   if (!profile_out.empty()) obs::set_phase_stack_enabled(true);
-  if (!trace_file.empty()) {
-    ThreadPool::set_trace_regions(true);
-    obs::trace_start();
-  }
+  if (!trace_file.empty()) obs::trace_start();
   // Hardware counters open before the pool so inherited events cover the
   // workers.  Failure never fails the run — the report carries the
   // explicit "unavailable" shape instead.
@@ -436,7 +433,7 @@ int main(int argc, char** argv) {
   // the reported hw section covers the solve alone.
   const obs::HwSample hw_before =
       obs::hw_active() ? obs::hw_read() : obs::HwSample{};
-  // Per-worker scheduler event rings (no-op when compiled out) start here,
+  // Scheduler events (no-op when compiled out) are collected from here,
   // after the build's team regions, so they describe the solve alone.
   if (want_obs) obs::sched_start();
   Timer t;
@@ -460,18 +457,15 @@ int main(int argc, char** argv) {
     }
   }
   const double solve_ms = t.elapsed_ms();
-  // Stop the scheduler rings at the join, then fold the worker timelines
-  // into the trace (pid-1 tracks) before the trace itself closes — neither
-  // should cover the verifier below.  The profiler stops on the same
-  // boundary: its samples attribute the solve, not the verifier.
+  // Stop scheduler collection and the trace at the join — neither should
+  // cover the verifier below (the trace renders the scheduler events as
+  // pid-1 tracks).  The profiler stops on the same boundary: its samples
+  // attribute the solve, not the verifier.
   obs::sched_stop();
   if (want_profile) obs::prof_stop();
   const obs::ProfSnapshot prof =
       want_profile ? obs::prof_snapshot() : obs::ProfSnapshot{};
-  if (!trace_file.empty()) {
-    obs::export_sched_to_trace();
-    obs::trace_stop();
-  }
+  if (!trace_file.empty()) obs::trace_stop();
 
   // Solve-scoped hardware-counter delta (kept "unavailable" when denied).
   obs::HwSample hw_sample;

@@ -15,7 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
-#include "obs/sched_events.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/assert.hpp"
@@ -273,9 +273,10 @@ BenchMeasurement measure_mst(const std::string& name, const CsrGraph& g,
   // atomics in the operator-new hooks), nothing inside the Timer spans.
   const obs::MemSample mem_before = record ? obs::mem_sample()
                                            : obs::MemSample{};
-  // Scheduler rings bracket the same window.  The per-event cost is two
-  // relaxed stores on a thread-owned line, so leaving them on for the
-  // timed reps stays inside the perf-smoke noise floor.
+  // Scheduler events bracket the same window (sched_start() discards the
+  // previous datapoint's).  The per-event cost is one append to the
+  // thread's own log, so leaving them on for the timed reps stays inside
+  // the perf-smoke noise floor.
   const bool sched = record && obs::kCompiledIn;
   if (sched) obs::sched_start();
   // The sampling profiler (--profile) brackets the timed reps too: arming
@@ -422,10 +423,7 @@ void ObsCli::begin() const {
   // gate (<=3% wall vs the unprofiled baseline) measures sampling with
   // attribution, not the full metrics machinery.
   if (*profile_) obs::set_phase_stack_enabled(true);
-  if (!trace_->empty()) {
-    ThreadPool::set_trace_regions(true);
-    obs::trace_start();
-  }
+  if (!trace_->empty()) obs::trace_start();
   if (!bench_json_->empty() || *profile_) {
     RecordStore& s = store();
     std::lock_guard lock(s.mu);
@@ -481,12 +479,9 @@ bool ObsCli::write_table(const Table& t) const {
 }
 
 bool ObsCli::finish(const std::string& tool, std::size_t threads) const {
-  if (!trace_->empty()) {
-    // Fold the last measured datapoint's scheduler timelines into the
-    // trace (pid-1 tracks) before it closes.
-    obs::export_sched_to_trace();
-    obs::trace_stop();
-  }
+  // The trace carries the last measured datapoint's scheduler timelines
+  // as pid-1 tracks (sched_start() discards the earlier ones).
+  if (!trace_->empty()) obs::trace_stop();
   bool ok = true;
   if (!metrics_json_->empty()) {
     obs::RunInfo info;

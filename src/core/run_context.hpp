@@ -18,8 +18,9 @@
 //   * a connectivity cache so mst::auto's selection check and downstream
 //     verification stop recomputing connected components of the same graph
 //     within one run;
-//   * a failpoint scope (armed specs are disarmed when the context dies)
-//     and an obs scope bundling the top-level phase span + hw-counter fold.
+//   * a failpoint scope (armed specs are disarmed when the context dies),
+//     an obs scope bundling the top-level phase span + hw-counter fold, and
+//     optionally the run's own obs::RunScope (open_run_scope()).
 //
 // A RunContext is NOT thread-safe and not reentrant: one algorithm run at a
 // time per context, matching the scratch-reuse contract.  It is cheap to
@@ -29,6 +30,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <typeindex>
@@ -192,6 +194,12 @@ class RunContext {
   [[nodiscard]] ObsScope obs_scope(const char* label) const {
     return ObsScope(label);
   }
+  /// Gives this run its own obs::RunScope on the calling thread until the
+  /// context dies: everything recorded for the run — by this thread and by
+  /// the team regions it dispatches — is kept apart from other runs, and a
+  /// report built on this thread meanwhile holds this run alone.  Destroy
+  /// the context on the thread that opened the scope.
+  void open_run_scope() { run_scope_.emplace(); }
 
  private:
   ThreadPool* pool_ = nullptr;
@@ -205,6 +213,7 @@ class RunContext {
   std::size_t components_ = 0;
   bool components_valid_ = false;  // distinguishes "empty graph cached"
   bool armed_failpoints_ = false;
+  std::optional<obs::RunScope> run_scope_;
 };
 
 }  // namespace llpmst

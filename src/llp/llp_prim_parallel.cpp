@@ -8,7 +8,7 @@
 #include "ds/binary_heap.hpp"
 #include "obs/hw_counters.hpp"
 #include "obs/phase_timer.hpp"
-#include "obs/round_stats.hpp"
+#include "obs/recorder.hpp"
 #include "parallel/atomic_utils.hpp"
 #include "parallel/concurrent_bag.hpp"
 #include "parallel/parallel_for.hpp"
@@ -141,7 +141,7 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
         round.edges = frontier_in;         // frontier entering the super-step
         round.advances = frontier.size();  // vertices newly fixed via MWE
         round.wall_ms = static_cast<double>(obs::now_us() - step_t0) * 1e-3;
-        obs::record_round(std::move(round));
+        obs::record_round(round);
       }
     }
 

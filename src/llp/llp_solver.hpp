@@ -26,7 +26,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
-#include "obs/round_stats.hpp"
+#include "obs/recorder.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/executor.hpp"
 #include "support/cancel.hpp"
@@ -126,7 +126,7 @@ LlpStats llp_solve(Executor& pool, std::size_t n, Forbidden&& forbidden,
       r.edges = n;  // full-sweep engine: the whole index space is scanned
       r.advances = a;
       r.wall_ms = static_cast<double>(obs::now_us() - sweep_t0) * 1e-3;
-      obs::record_round(std::move(r));
+      obs::record_round(r);
     }
     if (a == 0) break;  // outcome stays kOk: we have our solution
   }

@@ -10,8 +10,7 @@
 #include "obs/hw_counters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
-#include "obs/round_stats.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scan.hpp"
 #include "parallel/work_stealing.hpp"
@@ -519,7 +518,7 @@ struct Engine {
         rr.advances = info.msf_edges_emitted;
         rr.wall_ms = static_cast<double>(obs::now_us() - round_t0) * 1e-3;
         rr.imbalance = last_extract_imbalance;
-        obs::record_round(std::move(rr));
+        obs::record_round(rr);
       }
 
       if (cfg.round_observer) {

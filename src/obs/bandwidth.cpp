@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "obs/recorder.hpp"
+
 namespace llpmst::obs {
 
 const char* bound_verdict_name(BoundVerdict v) {
@@ -16,8 +18,6 @@ const char* bound_verdict_name(BoundVerdict v) {
   }
   return "unknown";
 }
-
-#if LLPMST_OBS
 
 BandwidthSnapshot bandwidth_snapshot(const HwSample* hw) {
   BandwidthSnapshot snap;
@@ -71,6 +71,5 @@ BandwidthSnapshot bandwidth_snapshot(const HwSample* hw) {
   return snap;
 }
 
-#endif  // LLPMST_OBS
 
 }  // namespace llpmst::obs

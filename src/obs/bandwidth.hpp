@@ -60,8 +60,6 @@ struct BandwidthSnapshot {
   std::vector<PhaseBandwidth> phases;  // sorted by est_bytes desc
 };
 
-#if LLPMST_OBS
-
 /// Arithmetic-intensity threshold for the verdict: below ~8 retired
 /// instructions per DRAM byte a modern core is waiting on memory, well
 /// above it on execution.  Chosen from machine balance (a few IPC at a few
@@ -75,15 +73,5 @@ inline constexpr std::uint64_t kMinBytesForVerdict = 1u << 20;
 /// times into bandwidth estimates.  `hw` is the run-level sample (for the
 /// availability gate); pass the same pointer the report serializer got.
 [[nodiscard]] BandwidthSnapshot bandwidth_snapshot(const HwSample* hw);
-
-#else  // !LLPMST_OBS
-
-inline BandwidthSnapshot bandwidth_snapshot(const HwSample*) {
-  BandwidthSnapshot s;
-  s.unavailable_reason = "observability compiled out (LLPMST_OBS=0)";
-  return s;
-}
-
-#endif  // LLPMST_OBS
 
 }  // namespace llpmst::obs

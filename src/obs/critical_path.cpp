@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/trace.hpp"
-
 namespace llpmst::obs {
 
 namespace {
@@ -113,28 +111,6 @@ SchedulerSummary analyze_sched(const SchedSnapshot& snap) {
 
 SchedulerSummary scheduler_summary() {
   return analyze_sched(snapshot_sched_events());
-}
-
-void export_sched_to_trace() {
-  if (!trace_collecting()) return;
-  const SchedSnapshot snap = snapshot_sched_events();
-  for (const SchedEvent& e : snap.events) {
-    switch (e.kind) {
-      case SchedEventKind::kTask:
-        trace_emit_for(1, e.worker, "sched/task", 'X', e.ts_us, e.value);
-        break;
-      case SchedEventKind::kIdle:
-        trace_emit_for(1, e.worker, "sched/idle", 'X', e.ts_us, e.value);
-        break;
-      case SchedEventKind::kStealSuccess:
-        trace_emit_for(1, e.worker, "sched/steal", 'i', e.ts_us, 0);
-        break;
-      case SchedEventKind::kStealAttempt:
-      case SchedEventKind::kGrain:
-      case SchedEventKind::kGrainSerial:
-        break;  // aggregate-only; they would clutter the timeline
-    }
-  }
 }
 
 }  // namespace llpmst::obs

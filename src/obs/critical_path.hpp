@@ -1,25 +1,18 @@
-// Utilization and critical-path analysis over the scheduler event rings
-// (obs/sched_events.hpp): per-worker busy/idle breakdowns, steal success
-// rate, the adaptive-grain decision histogram, and a critical-path lower
-// bound derived from the event timelines.
-//
-// The critical-path bound is the classic span argument run backwards: any
-// wall-clock interval during which at most ONE worker was inside a task
-// span is work that could not have been parallelized (or serial coordinator
-// time between regions), so summing those intervals lower-bounds T_inf.
-// Together with total busy time it brackets the achievable speedup:
-// T_p >= max(busy / p, critical_path).
-//
-// Everything here is pure analysis over a SchedSnapshot, so it compiles in
-// both obs flavours — under LLPMST_OBS=0 the snapshot is empty and
-// scheduler_summary() reports has_events == false.
+// Utilization and critical-path analysis over the current run scope's
+// scheduler events (obs/recorder.hpp): per-worker busy/idle breakdowns,
+// steal success rate, the adaptive-grain histogram, and a critical-path
+// lower bound.  The bound is the span argument run backwards: wall time
+// during which at most ONE worker was inside a task span could not have
+// been parallelized, so summing it lower-bounds T_inf, and
+// T_p >= max(busy / p, critical_path).  Pure analysis, so it compiles in
+// both obs flavours (LLPMST_OBS=0 yields has_events == false).
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "obs/sched_events.hpp"
+#include "obs/recorder.hpp"
 
 namespace llpmst::obs {
 
@@ -56,15 +49,7 @@ struct SchedulerSummary {
 /// Pure analysis of a snapshot (unit-testable on synthetic events).
 [[nodiscard]] SchedulerSummary analyze_sched(const SchedSnapshot& snap);
 
-/// snapshot_sched_events() + analyze_sched: the current rings' summary.
+/// snapshot_sched_events() + analyze_sched: the current scope's summary.
 [[nodiscard]] SchedulerSummary scheduler_summary();
-
-/// Re-emits the buffered scheduler events into the Chrome trace as
-/// per-worker tracks — "sched/task" and "sched/idle" spans plus
-/// "sched/steal" instants under pid 1, tid = worker — so the trace viewer
-/// shows the runtime's timeline next to the phase spans.  Call after the
-/// parallel work joined and BEFORE trace_stop(); no-op when the trace is
-/// not collecting.
-void export_sched_to_trace();
 
 }  // namespace llpmst::obs

@@ -7,7 +7,7 @@
 
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
-#include "obs/round_stats.hpp"
+#include "obs/recorder.hpp"
 
 namespace llpmst::obs {
 
@@ -39,25 +39,31 @@ std::string escape_label(std::string_view v) {
   return out;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
+std::string num(std::uint64_t v) { return std::to_string(v); }
 
-void append_double(std::string& out, double v) {
+std::string num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
-  out += buf;
+  return buf;
 }
 
-void append_type(std::string& out, const std::string& family,
-                 const char* type) {
-  out += "# TYPE ";
-  out += family;
-  out.push_back(' ');
-  out += type;
-  out.push_back('\n');
+std::string label(const char* key, std::string_view value) {
+  return std::string("{") + key + "=\"" + escape_label(value) + "\"}";
+}
+
+/// (labels, value) pairs of one family's samples.
+using Samples = std::vector<std::pair<std::string, std::string>>;
+
+/// A family's TYPE line and its samples (a counter's samples carry the
+/// mandatory "_total" suffix).
+void append_family(std::string& out, const std::string& family,
+                   const char* type, const Samples& samples) {
+  out += "# TYPE " + family + " " + type + "\n";
+  const std::string name =
+      family + (std::string_view(type) == "counter" ? "_total" : "");
+  for (const auto& [labels, value] : samples) {
+    out += name + labels + " " + value + "\n";
+  }
 }
 
 }  // namespace
@@ -67,133 +73,77 @@ std::string render_openmetrics() {
   // Family names already emitted: a sanitized collision must not produce a
   // second family with the same name (spec violation), so later ones skip.
   std::set<std::string> seen;
-  auto claim = [&seen, &out](const std::string& family) {
-    if (seen.insert(family).second) return true;
-    out += "# skipped: duplicate family after sanitization: " + family + "\n";
-    return false;
-  };
-
   for (const MetricSample& m : snapshot_metrics()) {
     const std::string family = sanitize(m.name);
-    if (!claim(family)) continue;
-    if (m.is_gauge) {
-      append_type(out, family, "gauge");
-      out += family;
-    } else {
-      append_type(out, family, "counter");
-      out += family + "_total";
+    if (!seen.insert(family).second) {
+      out += "# skipped: duplicate family after sanitization: " + family +
+             "\n";
+      continue;
     }
-    out.push_back(' ');
-    append_u64(out, m.value);
-    out.push_back('\n');
+    append_family(out, family, m.is_gauge ? "gauge" : "counter",
+                  {{"", num(m.value)}});
   }
 
-  const std::vector<PhaseSample> phases = snapshot_phases();
-  if (!phases.empty()) {
-    append_type(out, "llpmst_phase_seconds", "counter");
-    for (const PhaseSample& p : phases) {
-      out += "llpmst_phase_seconds_total{phase=\"" + escape_label(p.name) +
-             "\"} ";
-      append_double(out, static_cast<double>(p.total_us) * 1e-6);
-      out.push_back('\n');
-    }
-    append_type(out, "llpmst_phase_count", "counter");
-    for (const PhaseSample& p : phases) {
-      out += "llpmst_phase_count_total{phase=\"" + escape_label(p.name) +
-             "\"} ";
-      append_u64(out, p.count);
-      out.push_back('\n');
-    }
+  Samples seconds, counts;
+  for (const PhaseSample& p : snapshot_phases()) {
+    seconds.emplace_back(label("phase", p.name),
+                         num(static_cast<double>(p.total_us) * 1e-6));
+    counts.emplace_back(label("phase", p.name), num(p.count));
+  }
+  if (!counts.empty()) {
+    append_family(out, "llpmst_phase_seconds", "counter", seconds);
+    append_family(out, "llpmst_phase_count", "counter", counts);
   }
 
   const SchedulerSummary sched = scheduler_summary();
   if (sched.has_events) {
-    append_type(out, "llpmst_sched_utilization_ratio", "gauge");
-    out += "llpmst_sched_utilization_ratio ";
-    append_double(out, sched.utilization);
-    out.push_back('\n');
-    append_type(out, "llpmst_sched_steal_success_ratio", "gauge");
-    out += "llpmst_sched_steal_success_ratio ";
-    append_double(out, sched.steal_success_rate);
-    out.push_back('\n');
-    append_type(out, "llpmst_sched_critical_path_seconds", "gauge");
-    out += "llpmst_sched_critical_path_seconds ";
-    append_double(out, static_cast<double>(sched.critical_path_us) * 1e-6);
-    out.push_back('\n');
-    append_type(out, "llpmst_sched_worker_busy_seconds", "counter");
+    append_family(out, "llpmst_sched_utilization_ratio", "gauge",
+                  {{"", num(sched.utilization)}});
+    append_family(out, "llpmst_sched_steal_success_ratio", "gauge",
+                  {{"", num(sched.steal_success_rate)}});
+    append_family(
+        out, "llpmst_sched_critical_path_seconds", "gauge",
+        {{"", num(static_cast<double>(sched.critical_path_us) * 1e-6)}});
+    Samples busy, idle;
     for (const WorkerBreakdown& w : sched.workers) {
-      out += "llpmst_sched_worker_busy_seconds_total{worker=\"";
-      append_u64(out, w.worker);
-      out += "\"} ";
-      append_double(out, static_cast<double>(w.busy_us) * 1e-6);
-      out.push_back('\n');
+      const std::string worker = label("worker", std::to_string(w.worker));
+      busy.emplace_back(worker, num(static_cast<double>(w.busy_us) * 1e-6));
+      idle.emplace_back(worker, num(static_cast<double>(w.idle_us) * 1e-6));
     }
-    append_type(out, "llpmst_sched_worker_idle_seconds", "counter");
-    for (const WorkerBreakdown& w : sched.workers) {
-      out += "llpmst_sched_worker_idle_seconds_total{worker=\"";
-      append_u64(out, w.worker);
-      out += "\"} ";
-      append_double(out, static_cast<double>(w.idle_us) * 1e-6);
-      out.push_back('\n');
-    }
-    append_type(out, "llpmst_sched_dropped_events", "counter");
-    out += "llpmst_sched_dropped_events_total ";
-    append_u64(out, sched.dropped_events);
-    out.push_back('\n');
+    append_family(out, "llpmst_sched_worker_busy_seconds", "counter", busy);
+    append_family(out, "llpmst_sched_worker_idle_seconds", "counter", idle);
+    append_family(out, "llpmst_sched_dropped_events", "counter",
+                  {{"", num(sched.dropped_events)}});
   }
 
   // Rounds aggregate per site: how many rounds and how long they took.
   std::map<std::string, std::pair<std::uint64_t, double>> sites;
   for (const RoundRecord& r : snapshot_rounds()) {
-    auto& [count, wall_ms] = sites[r.label];
+    auto& [count, wall_ms] = sites[std::string(r.label)];
     ++count;
     wall_ms += r.wall_ms;
   }
+  Samples rounds, round_seconds;
+  for (const auto& [site, agg] : sites) {
+    rounds.emplace_back(label("site", site), num(agg.first));
+    round_seconds.emplace_back(label("site", site), num(agg.second * 1e-3));
+  }
   if (!sites.empty()) {
-    append_type(out, "llpmst_solver_rounds", "gauge");
-    for (const auto& [site, agg] : sites) {
-      out += "llpmst_solver_rounds{site=\"" + escape_label(site) + "\"} ";
-      append_u64(out, agg.first);
-      out.push_back('\n');
-    }
-    append_type(out, "llpmst_solver_round_seconds", "counter");
-    for (const auto& [site, agg] : sites) {
-      out += "llpmst_solver_round_seconds_total{site=\"" +
-             escape_label(site) + "\"} ";
-      append_double(out, agg.second * 1e-3);
-      out.push_back('\n');
-    }
+    append_family(out, "llpmst_solver_rounds", "gauge", rounds);
+    append_family(out, "llpmst_solver_round_seconds", "counter",
+                  round_seconds);
   }
 
-  append_type(out, "llpmst_warnings", "gauge");
-  out += "llpmst_warnings ";
-  append_u64(out, snapshot_warnings().size());
-  out.push_back('\n');
-
-  append_type(out, "llpmst_build_info", "gauge");
-  out += "llpmst_build_info{obs=\"";
-  out += kCompiledIn ? '1' : '0';
-  out += "\"} 1\n";
-
+  append_family(out, "llpmst_warnings", "gauge",
+                {{"", num(std::uint64_t{snapshot_warnings().size()})}});
+  append_family(out, "llpmst_build_info", "gauge",
+                {{kCompiledIn ? "{obs=\"1\"}" : "{obs=\"0\"}", "1"}});
   out += "# EOF\n";
   return out;
 }
 
 const char* openmetrics_content_type() {
   return "application/openmetrics-text; version=1.0.0; charset=utf-8";
-}
-
-bool write_openmetrics(const std::string& path, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string doc = render_openmetrics();
-  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-  std::fclose(f);
-  if (!ok && error != nullptr) *error = "short write to " + path;
-  return ok;
 }
 
 }  // namespace llpmst::obs

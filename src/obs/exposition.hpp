@@ -1,27 +1,16 @@
 // OpenMetrics / Prometheus text exposition of the observability state:
-// registered counters and gauges, aggregated phase timings, the scheduler
-// summary, per-solver round counts, and a build-info marker.  This is what
-// `mst_tool --stats-out FILE` writes and what a future llpmstd would serve
-// on /metrics — the pull-based twin of the JSON run report.
+// every registered counter and gauge with its process-wide value, plus the
+// current run scope's phase timings, scheduler summary and per-solver round
+// counts, and a build-info marker.  This is what `mst_tool --stats-out
+// FILE` writes and what llpmstd serves on /stats — there the process-wide
+// counters are the daemon-wide serve/* totals, and the scope is the
+// daemon's default one (each query records into its own).
 //
-// Name mapping (docs/observability.md has the full table):
-//   * every family is prefixed "llpmst_"; '/' and any other character
-//     outside [a-zA-Z0-9_] in a metric name becomes '_'
-//   * obs counters  -> counter families; samples carry the mandatory
-//     "_total" suffix (llpmst_boruvka_rounds_total)
-//   * obs gauges    -> gauge families, name used as-is after sanitizing
-//   * phases        -> llpmst_phase_seconds_total{phase="..."} plus
-//                      llpmst_phase_count_total{phase="..."}
-//   * scheduler     -> llpmst_sched_utilization_ratio,
-//                      llpmst_sched_steal_success_ratio, and per-worker
-//                      busy/idle seconds keyed by a worker="N" label
-//   * rounds        -> llpmst_solver_rounds{site="..."} and
-//                      llpmst_solver_round_seconds_total{site="..."}
-//   * always        -> llpmst_build_info{obs="0"|"1"} 1 and a final "# EOF"
-//
-// Sanitization can collide two distinct metric names; the first family
-// keeps the name and later collisions are skipped with a warning comment
-// in the output (exposing two families with one name is a spec violation).
+// Every family is prefixed "llpmst_", and a character outside
+// [a-zA-Z0-9_] in a metric name becomes '_'; docs/observability.md has the
+// full name mapping.  Sanitization can collide two distinct metric names:
+// the first family keeps the name and later ones are skipped with a
+// comment (two families with one name would violate the spec).
 //
 // Both build flavours compile this: under LLPMST_OBS=0 the document
 // degrades to build_info + EOF, which still parses — downstream scrapers
@@ -29,6 +18,8 @@
 #pragma once
 
 #include <string>
+
+#include "obs/metrics.hpp"
 
 namespace llpmst::obs {
 
@@ -42,6 +33,8 @@ namespace llpmst::obs {
 
 /// Writes render_openmetrics() to `path`.  Returns false and sets *error
 /// on I/O failure.
-bool write_openmetrics(const std::string& path, std::string* error);
+inline bool write_openmetrics(const std::string& path, std::string* error) {
+  return write_file(path, render_openmetrics(), error);
+}
 
 }  // namespace llpmst::obs

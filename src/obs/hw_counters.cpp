@@ -1,5 +1,7 @@
 #include "obs/hw_counters.hpp"
 
+#include "obs/recorder.hpp"
+
 #if LLPMST_OBS
 
 #include <algorithm>

@@ -1,22 +1,25 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <cstdio>
 #include <mutex>
 #include <unordered_map>
 
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace llpmst::obs {
 
 namespace {
 
 // Warnings live outside the #if: non-convergence and overflow conditions
-// must surface in reports even in an LLPMST_OBS=0 build.
+// must surface in reports even in an LLPMST_OBS=0 build.  Each carries the
+// scope it was raised in.
 struct WarningStore {
   std::mutex mu;
-  std::vector<std::string> messages;
+  std::vector<std::pair<std::uint32_t, std::string>> messages;
 };
 
 WarningStore& warnings() {
@@ -24,25 +27,53 @@ WarningStore& warnings() {
   return *w;
 }
 
+void erase_warnings(std::uint32_t scope) {
+  WarningStore& w = warnings();
+  std::lock_guard lock(w.mu);
+  std::erase_if(w.messages,
+                [scope](const auto& m) { return m.first == scope; });
+}
+
+constexpr std::uint32_t kDefaultScope = 1;
+thread_local std::uint32_t tls_scope = kDefaultScope;
+std::atomic<std::uint32_t> g_next_scope{kDefaultScope + 1};
+
 }  // namespace
+
+std::uint32_t detail::current_scope() { return tls_scope; }
+void detail::set_current_scope(std::uint32_t scope) { tls_scope = scope; }
+
+RunScope::RunScope()
+    : id_(g_next_scope.fetch_add(1, std::memory_order_relaxed)),
+      prev_(tls_scope) {
+  tls_scope = id_;
+}
+
+RunScope::~RunScope() {
+#if LLPMST_OBS
+  detail::close_scope(id_);
+#endif
+  erase_warnings(id_);
+  tls_scope = prev_;
+}
 
 void add_warning(std::string message) {
   WarningStore& w = warnings();
   std::lock_guard lock(w.mu);
-  w.messages.push_back(std::move(message));
+  w.messages.emplace_back(tls_scope, std::move(message));
 }
 
 std::vector<std::string> snapshot_warnings() {
   WarningStore& w = warnings();
+  std::vector<std::string> out;
   std::lock_guard lock(w.mu);
-  return w.messages;
+  for (const auto& [scope, message] : w.messages) {
+    if (scope == tls_scope) out.push_back(message);
+  }
+  return out;
 }
 
-void clear_warnings() {
-  WarningStore& w = warnings();
-  std::lock_guard lock(w.mu);
-  w.messages.clear();
-}
+void clear_warnings() { erase_warnings(tls_scope); }
 
 std::uint64_t now_us() {
   using Clock = std::chrono::steady_clock;
@@ -88,25 +119,33 @@ std::string json_quote(std::string_view s) {
   return out;
 }
 
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    if (error != nullptr) *error = "cannot open " + path + " for writing";
+    return false;
+  }
+  const bool ok =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  std::fclose(f);
+  if (!ok && error != nullptr) *error = "short write to " + path;
+  return ok;
+}
+
 #if LLPMST_OBS
 
 namespace {
 
-struct PhaseAgg {
-  std::uint64_t count = 0;
-  std::uint64_t total_us = 0;
-};
-
-// Registry of every named metric and phase aggregate.  Intentionally leaked
-// (metrics are process-lifetime; cached Counter& references in algorithm
-// code must never dangle, including during static destruction).
+// Registry of every named metric.  Intentionally leaked (metrics are
+// process-lifetime; cached Counter& references in algorithm code must never
+// dangle, including during static destruction).  Counters and gauges share
+// one id space: the id indexes a scope segment's metric slots.
 struct Registry {
   std::mutex mu;
   std::unordered_map<std::string, std::unique_ptr<Counter>> counters;
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges;
-
-  std::mutex phase_mu;
-  std::unordered_map<std::string, PhaseAgg> phases;
+  std::uint32_t next_id = 0;
 };
 
 Registry& registry() {
@@ -114,47 +153,25 @@ Registry& registry() {
   return *r;
 }
 
-std::atomic<bool> g_enabled{false};
-
-// Per-thread stack of live PhaseTimer frames; phase_pop joins it into the
-// recorded path.  Fixed-capacity with an atomic depth so the profiler's
-// SIGPROF handler can snapshot it mid-update (see detail::PhaseStack).
-thread_local detail::PhaseStack tls_phase_stack;
+template <typename T, typename Map>
+T& get_or_create(Map& map, std::string_view name) {
+  Registry& r = registry();
+  std::lock_guard lock(r.mu);
+  auto it = map.find(std::string(name));
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), std::make_unique<T>(r.next_id++)).first;
+  }
+  return *it->second;
+}
 
 }  // namespace
 
-std::size_t shard_id() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
-
-std::atomic<bool> g_phase_stack{false};
-bool phase_stack_enabled() {
-  return g_phase_stack.load(std::memory_order_relaxed);
-}
-void set_phase_stack_enabled(bool on) {
-  g_phase_stack.store(on, std::memory_order_relaxed);
-}
-
-Counter::Counter(std::string name)
-    : name_(std::move(name)), slots_(new Slot[kNumShards]) {}
-
-std::uint64_t Counter::value() const {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < kNumShards; ++i) {
-    sum += slots_[i].v.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
-void Counter::reset() {
-  for (std::size_t i = 0; i < kNumShards; ++i) {
-    slots_[i].v.store(0, std::memory_order_relaxed);
+void detail::set_gate(Gate gate, bool on) {
+  if (on) {
+    g_gates.fetch_or(gate, std::memory_order_relaxed);
+  } else {
+    g_gates.fetch_and(~static_cast<std::uint32_t>(gate),
+                      std::memory_order_relaxed);
   }
 }
 
@@ -163,68 +180,39 @@ void Gauge::set_max(std::uint64_t v) {
   while (cur < v && !value_.compare_exchange_weak(
                         cur, v, std::memory_order_relaxed)) {
   }
+  if (enabled()) detail::scope_metric_set(id_, v, detail::MetricOp::kMax);
 }
 
 Counter& counter(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard lock(r.mu);
-  auto it = r.counters.find(std::string(name));
-  if (it == r.counters.end()) {
-    it = r.counters
-             .emplace(std::string(name),
-                      std::make_unique<Counter>(std::string(name)))
-             .first;
-  }
-  return *it->second;
+  return get_or_create<Counter>(registry().counters, name);
 }
 
 Gauge& gauge(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard lock(r.mu);
-  auto it = r.gauges.find(std::string(name));
-  if (it == r.gauges.end()) {
-    it = r.gauges
-             .emplace(std::string(name),
-                      std::make_unique<Gauge>(std::string(name)))
-             .first;
-  }
-  return *it->second;
+  return get_or_create<Gauge>(registry().gauges, name);
 }
 
-std::vector<MetricSample> snapshot_metrics() {
+std::vector<std::pair<std::uint32_t, MetricSample>>
+detail::registered_metrics() {
   Registry& r = registry();
-  std::vector<MetricSample> out;
+  std::vector<std::pair<std::uint32_t, MetricSample>> out;
   {
     std::lock_guard lock(r.mu);
-    out.reserve(r.counters.size() + r.gauges.size());
     for (const auto& [name, c] : r.counters) {
-      out.push_back({name, c->value(), false});
+      out.push_back({c->id(), MetricSample{name, c->value(), false}});
     }
     for (const auto& [name, g] : r.gauges) {
-      out.push_back({name, g->value(), true});
+      out.push_back({g->id(), MetricSample{name, g->value(), true}});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              return a.name < b.name;
-            });
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second.name < b.second.name;
+  });
   return out;
 }
 
-std::vector<PhaseSample> snapshot_phases() {
-  Registry& r = registry();
-  std::vector<PhaseSample> out;
-  {
-    std::lock_guard lock(r.phase_mu);
-    out.reserve(r.phases.size());
-    for (const auto& [name, agg] : r.phases) {
-      out.push_back({name, agg.count, agg.total_us});
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const PhaseSample& a, const PhaseSample& b) {
-              return a.name < b.name;
-            });
+std::vector<MetricSample> snapshot_metrics() {
+  std::vector<MetricSample> out;
+  for (auto& [id, m] : detail::registered_metrics()) out.push_back(std::move(m));
   return out;
 }
 
@@ -235,66 +223,8 @@ void reset_metrics() {
     for (auto& [name, c] : r.counters) c->reset();
     for (auto& [name, g] : r.gauges) g->reset();
   }
-  {
-    std::lock_guard lock(r.phase_mu);
-    r.phases.clear();
-  }
+  detail::reset_scope();
 }
-
-namespace detail {
-
-PhaseStack& phase_stack() { return tls_phase_stack; }
-
-void phase_push(const char* name) {
-  PhaseStack& st = tls_phase_stack;
-  const std::uint32_t d = st.depth.load(std::memory_order_relaxed);
-  if (d < kMaxPhaseDepth) st.frames[d] = name;
-  // Release: the frame write above must be visible before the new depth —
-  // a SIGPROF handler that observes d+1 must see frames[d] populated.
-  st.depth.store(d + 1, std::memory_order_release);
-}
-
-std::string phase_path() {
-  const PhaseStack& st = tls_phase_stack;
-  const std::uint32_t d = std::min<std::uint32_t>(
-      st.depth.load(std::memory_order_relaxed),
-      static_cast<std::uint32_t>(kMaxPhaseDepth));
-  std::string path;
-  for (std::uint32_t i = 0; i < d; ++i) {
-    if (!path.empty()) path.push_back('/');
-    path += st.frames[i];
-  }
-  return path;
-}
-
-void phase_pop(std::uint64_t start_us) {
-  const std::uint64_t end_us = now_us();
-  const std::uint64_t dur_us = end_us - start_us;
-
-  const std::string path = phase_path();
-  {
-    PhaseStack& st = tls_phase_stack;
-    st.depth.store(st.depth.load(std::memory_order_relaxed) - 1,
-                   std::memory_order_relaxed);
-  }
-
-  Registry& r = registry();
-  {
-    std::lock_guard lock(r.phase_mu);
-    PhaseAgg& agg = r.phases[path];
-    ++agg.count;
-    agg.total_us += dur_us;
-  }
-  if (trace_collecting()) trace_emit(path, start_us, dur_us);
-}
-
-void phase_pop_fast() {
-  PhaseStack& st = tls_phase_stack;
-  st.depth.store(st.depth.load(std::memory_order_relaxed) - 1,
-                 std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 #else  // !LLPMST_OBS
 
@@ -307,7 +237,7 @@ Gauge g_dummy_gauge;
 Counter& counter(std::string_view) { return g_dummy_counter; }
 Gauge& gauge(std::string_view) { return g_dummy_gauge; }
 std::vector<MetricSample> snapshot_metrics() { return {}; }
-std::vector<PhaseSample> snapshot_phases() { return {}; }
+std::vector<MetricSample> snapshot_scope_metrics() { return {}; }
 void reset_metrics() {}
 
 #endif  // LLPMST_OBS

@@ -1,20 +1,18 @@
-// Named counters and gauges for the observability layer.
+// Named counters and gauges, the runtime gates, warnings, and run scopes
+// (docs/observability.md has the recording model).
 //
-// Design contract (see docs/observability.md):
-//   * Counters are monotonic and sharded: each OS thread owns a cache-line
-//     padded slot, so a hot-path `add` is one relaxed atomic on an
-//     exclusively-owned line — no contention, no fences.  Aggregation
-//     happens on read.
-//   * Gauges are last-write-wins scalars set from coordinator code
-//     (per-round sizes, configuration echoes).
-//   * The whole subsystem has a compile-time switch: building with
-//     `-DLLPMST_OBS=0` turns Counter/Gauge/PhaseTimer into empty classes and
-//     every recording function into an inline no-op, so instrumented call
-//     sites cost nothing (tests static-assert the classes are empty).
-//   * With obs compiled in, counters are always live (one relaxed add — the
-//     same policy as HeapStats); phase timers and trace spans additionally
-//     check the *runtime* flag `obs::enabled()` so un-instrumented runs pay
-//     one relaxed load per phase, not per element.
+//   * A Counter is one relaxed atomic, the process-wide value /stats and
+//     snapshot_metrics() read.  Every call site is cold (per run or per
+//     request, after a mutex-guarded name lookup).  While enabled(), an add
+//     also lands in the calling thread's log for its current run scope —
+//     what a run report's "counters" section reads (obs/recorder.hpp).
+//   * `-DLLPMST_OBS=0` turns Counter/Gauge/PhaseTimer into empty classes
+//     and every recording function into an inline no-op (tests
+//     static-assert the classes are empty).
+//   * Every record carries the run scope current on the recording thread:
+//     the default scope, or a RunScope's (llpmstd: one per query).  Views
+//     read the calling thread's current scope only.  Scopes exist in both
+//     flavours because warnings are scoped too.
 //
 // Naming convention: `<subsystem>/<event>` with '/' separators, e.g.
 // "llp_prim_parallel/mwe_early_fix", "boruvka/rounds".  Phase paths nest the
@@ -32,7 +30,6 @@
 
 #if LLPMST_OBS
 #include <atomic>
-#include <memory>
 #endif
 
 namespace llpmst::obs {
@@ -55,86 +52,116 @@ struct PhaseSample {
   std::uint64_t total_us = 0;  // summed wall time
 };
 
+/// Opens a fresh run scope on the calling thread for its lifetime: what
+/// the thread records from here on (and what the teams it dispatches
+/// record, see Executor::run_team) carries the new id, and views read on
+/// this thread see only it.  The destructor discards the scope's records
+/// and restores the previous scope, so build the report inside it.
+class RunScope {
+ public:
+  RunScope();
+  ~RunScope();
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+ private:
+  std::uint32_t id_;
+  std::uint32_t prev_;
+};
+
+namespace detail {
+/// The calling thread's current scope id (a plain thread-local read; the
+/// process's default scope, which tools and benches record into, is 1).
+[[nodiscard]] std::uint32_t current_scope();
+void set_current_scope(std::uint32_t scope);
+}  // namespace detail
+
 #if LLPMST_OBS
 
-/// Number of counter shards.  Threads beyond this share slots (the add
-/// degrades to a contended fetch_add but stays correct).
-inline constexpr std::size_t kNumShards = 64;
+/// The runtime gates, one bit each in a single word so that "is anything
+/// recording" is one relaxed load (Executor::run_team checks it).
+namespace detail {
+enum Gate : std::uint32_t {
+  kGatePhases = 1,  // enabled(): phase aggregates, rounds, scope metrics
+  kGateStack = 2,   // phase_stack_enabled(): the profiler's phase stack
+  kGateSched = 4,   // sched_collecting()
+  kGateTrace = 8,   // trace_collecting()
+};
+inline std::atomic<std::uint32_t> g_gates{0};
+[[nodiscard]] inline std::uint32_t gates() {
+  return g_gates.load(std::memory_order_relaxed);
+}
+void set_gate(Gate gate, bool on);
+/// Folds a counter add / gauge write into the calling thread's log for its
+/// current scope (only called while enabled()).
+enum class MetricOp : std::uint8_t { kAdd, kSet, kMax };
+void scope_metric_set(std::uint32_t id, std::uint64_t value, MetricOp op);
+}  // namespace detail
 
-/// Small dense id for the calling thread: ThreadPool workers and any other
-/// thread get one on first use.  Doubles as the trace `tid`.
-[[nodiscard]] std::size_t shard_id();
-
-/// Runtime switch for phase timers and trace spans (counters stay live).
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+/// Runtime switch for phase timers, round records and per-scope metrics
+/// (process-wide counter values stay live regardless).
+[[nodiscard]] inline bool enabled() {
+  return (detail::gates() & detail::kGatePhases) != 0;
+}
+inline void set_enabled(bool on) { detail::set_gate(detail::kGatePhases, on); }
 
 /// Runtime switch for maintaining the per-thread phase *stack* alone —
 /// what the sampling profiler (obs/profiler.hpp) reads for attribution —
-/// without the timing aggregates, trace events, or the per-scope path
-/// string that full `enabled()` mode folds on every PhaseTimer exit.
-/// Cost per scope in this mode: two relaxed/release stores, no clock
-/// reads, no allocation, no mutex — cheap enough for the benches'
-/// profiler-overhead gate (<=3% wall).  Independent of set_enabled();
-/// PhaseTimer maintains the stack when either gate is on.
-[[nodiscard]] bool phase_stack_enabled();
-void set_phase_stack_enabled(bool on);
+/// without the timing aggregates or trace spans that full `enabled()` mode
+/// records on every PhaseTimer exit.  Cost per scope in this mode: an
+/// interned-id lookup and two stores, no clock reads.  Independent of
+/// set_enabled(); PhaseTimer maintains the stack when either gate is on.
+[[nodiscard]] inline bool phase_stack_enabled() {
+  return (detail::gates() & detail::kGateStack) != 0;
+}
+inline void set_phase_stack_enabled(bool on) {
+  detail::set_gate(detail::kGateStack, on);
+}
 
-class Counter {
+/// A named metric: one process-wide relaxed atomic, plus a per-scope copy
+/// while enabled().
+class Metric {
  public:
-  explicit Counter(std::string name);
+  explicit Metric(std::uint32_t id) : id_(id) {}
+  Metric(const Metric&) = delete;
+  Metric& operator=(const Metric&) = delete;
 
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  /// Hot path: one relaxed RMW on the calling thread's own cache line
-  /// (uncontended below kNumShards threads, still correct above).
-  void add(std::uint64_t delta) {
-    slots_[shard_id() & (kNumShards - 1)].v.fetch_add(
-        delta, std::memory_order_relaxed);
-  }
-  void increment() { add(1); }
-
-  /// Aggregates all shards.  Concurrent adds may or may not be included.
-  [[nodiscard]] std::uint64_t value() const;
-  void reset();
-
-  [[nodiscard]] const std::string& name() const { return name_; }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::string name_;
-  std::unique_ptr<Slot[]> slots_;
-};
-
-class Gauge {
- public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
-  /// Raise-only update, for high-water marks.
-  void set_max(std::uint64_t v);
+  /// The process-wide value.
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { set(0); }
+  void reset() { value_.store(0, std::memory_order_relaxed); }
+  [[nodiscard]] std::uint32_t id() const { return id_; }
 
-  [[nodiscard]] const std::string& name() const { return name_; }
-
- private:
-  std::string name_;
+ protected:
+  std::uint32_t id_;
   std::atomic<std::uint64_t> value_{0};
+};
+
+class Counter : public Metric {
+ public:
+  using Metric::Metric;
+  void add(std::uint64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+    if (enabled()) detail::scope_metric_set(id_, delta, detail::MetricOp::kAdd);
+  }
+  void increment() { add(1); }
+};
+
+/// Last-write-wins, set from coordinator code.
+class Gauge : public Metric {
+ public:
+  using Metric::Metric;
+  void set(std::uint64_t v) {
+    value_.store(v, std::memory_order_relaxed);
+    if (enabled()) detail::scope_metric_set(id_, v, detail::MetricOp::kSet);
+  }
+  /// Raise-only update, for high-water marks.
+  void set_max(std::uint64_t v);
 };
 
 #else  // !LLPMST_OBS — every recorder is an empty no-op.
 
-inline constexpr std::size_t kNumShards = 0;
-[[nodiscard]] inline std::size_t shard_id() { return 0; }
 [[nodiscard]] inline bool enabled() { return false; }
 inline void set_enabled(bool) {}
 [[nodiscard]] inline bool phase_stack_enabled() { return false; }
@@ -165,18 +192,22 @@ class Gauge {
 [[nodiscard]] Counter& counter(std::string_view name);
 [[nodiscard]] Gauge& gauge(std::string_view name);
 
-/// All registered metrics, sorted by name.  Empty when compiled out.
+/// All registered metrics with their process-wide values, sorted by name
+/// (what /stats serves).  Empty when compiled out.
 [[nodiscard]] std::vector<MetricSample> snapshot_metrics();
-/// All recorded phases, sorted by path.  Empty when compiled out.
-[[nodiscard]] std::vector<PhaseSample> snapshot_phases();
+/// The metrics recorded in the calling thread's current scope, sorted by
+/// name (what a run report's counters/gauges sections hold): counter adds
+/// summed over threads, each gauge's largest last-written value.
+[[nodiscard]] std::vector<MetricSample> snapshot_scope_metrics();
 
-/// Zeroes all counters/gauges and clears phase aggregates (the registry
-/// entries themselves persist so cached references stay valid).
+/// Zeroes all counters/gauges and discards everything the current scope
+/// recorded (the registry entries persist so cached references stay
+/// valid).  A coordinator call: no team region may be in flight.
 void reset_metrics();
 
 /// Warnings are always compiled in — they surface correctness-adjacent
 /// conditions (e.g. an LLP sweep cap hit) into reports regardless of the
-/// obs build flavour.
+/// obs build flavour.  They belong to the calling thread's current scope.
 void add_warning(std::string message);
 [[nodiscard]] std::vector<std::string> snapshot_warnings();
 void clear_warnings();
@@ -188,42 +219,9 @@ void clear_warnings();
 /// Escapes and double-quotes a string for JSON output ("ab\"c" -> "\"ab\\\"c\"").
 [[nodiscard]] std::string json_quote(std::string_view s);
 
-namespace detail {
-#if LLPMST_OBS
-/// Nested-phase support for PhaseTimer: push a frame, then pop it and fold
-/// the elapsed time into the aggregate for the '/'-joined path (and into the
-/// active trace, if any).
-void phase_push(const char* name);
-void phase_pop(std::uint64_t start_us);
-/// Pops without folding into the timing aggregate or the trace — the
-/// stack-only mode (phase_stack_enabled() without enabled()): one relaxed
-/// store, so hot-loop scopes stay cheap while the profiler samples them.
-void phase_pop_fast();
-/// The '/'-joined path of the PhaseTimers live on the calling thread
-/// ("" outside any phase).  Used by ScopedHwCounters for attribution.
-[[nodiscard]] std::string phase_path();
-
-/// Frames deeper than this are counted but not recorded (phase_path()
-/// renders the stored prefix; real nesting depth is ~4).
-inline constexpr std::size_t kMaxPhaseDepth = 16;
-
-/// The per-thread stack of live PhaseTimer frames, laid out so the sampling
-/// profiler's signal handler can read it asynchronously on the owning
-/// thread: `frames[i]` is written *before* `depth` publishes it (release
-/// store), and pop only moves `depth` down — so a handler that loads
-/// `depth` and then reads `frames[0..min(depth, kMaxPhaseDepth))` always
-/// sees string literals that were live at some instant.  The literals
-/// themselves have static storage, so a momentarily stale frame is a stale
-/// *attribution*, never a dangling read.
-struct PhaseStack {
-  const char* frames[kMaxPhaseDepth] = {};
-  std::atomic<std::uint32_t> depth{0};
-};
-
-/// The calling thread's phase stack.  The address is stable for the
-/// thread's lifetime; the profiler captures it once at thread registration.
-[[nodiscard]] PhaseStack& phase_stack();
-#endif
-}  // namespace detail
+/// Writes `content` to `path` (every artifact writer uses it).  Returns
+/// false and sets *error on I/O failure.
+bool write_file(const std::string& path, const std::string& content,
+                std::string* error);
 
 }  // namespace llpmst::obs

@@ -2,28 +2,24 @@
 //
 //   {
 //     obs::PhaseTimer t("llp_prim_parallel");
-//     ...
 //     { obs::PhaseTimer f("heap_flush"); flush(); }   // -> "llp_prim_parallel/heap_flush"
 //   }
 //
-// Phases nest per thread: the recorded name is the '/'-joined path of all
-// live PhaseTimers on the current thread, which is how coarse algorithm
-// spans ("llp_prim_parallel") and their inner stages ("heap_flush") line up
-// in reports and traces without threading a prefix through every call.
+// The recorded name is the '/'-joined path of the PhaseTimers live on the
+// thread; team regions carry the submitter's innermost phase into every
+// worker (Executor::run_team), so a timer in a region body nests under the
+// phase that dispatched it.
 //
-// Cost: when both gates are off (the default), construction is two relaxed
-// loads and a branch — safe inside per-round loops.  When obs::enabled(),
-// each scope is two clock reads plus one mutex-guarded aggregate update at
-// scope exit, so place timers at round/phase granularity, not per element.
-// Completed scopes also become trace "X" events while a trace is collecting.
-//
-// When only obs::phase_stack_enabled() is on (the sampling profiler's
-// attribution mode), each scope maintains the per-thread phase stack the
-// SIGPROF handler reads — a handful of relaxed/release stores, no clocks,
-// no allocation — and records nothing else.
+// Cost: with both gates off (the default), one relaxed load and a branch.
+// Otherwise each scope looks its path's interned id up without a lock;
+// when obs::enabled() it also reads the clock twice and folds the elapsed
+// time into the thread's log for the current run scope (plus a trace span
+// while a trace is collecting).  With only obs::phase_stack_enabled() (the
+// profiler's attribution mode) it maintains the phase stack and records
+// nothing else.  Place timers at round/phase granularity.
 #pragma once
 
-#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 
 namespace llpmst::obs {
 
@@ -31,20 +27,19 @@ namespace llpmst::obs {
 
 class PhaseTimer {
  public:
-  /// `name` must outlive the scope (string literals in practice).
   explicit PhaseTimer(const char* name) {
-    if (enabled()) {
+    const std::uint32_t g = detail::gates();
+    if ((g & (detail::kGatePhases | detail::kGateStack)) == 0) return;
+    node_ = detail::phase_push(name);
+    mode_ = kStackOnly;
+    if ((g & detail::kGatePhases) != 0) {
       mode_ = kFull;
-      detail::phase_push(name);
       start_us_ = now_us();
-    } else if (phase_stack_enabled()) {
-      mode_ = kStackOnly;
-      detail::phase_push(name);
     }
   }
   ~PhaseTimer() {
     if (mode_ == kFull) {
-      detail::phase_pop(start_us_);
+      detail::phase_pop(node_, start_us_);
     } else if (mode_ == kStackOnly) {
       detail::phase_pop_fast();
     }
@@ -56,6 +51,7 @@ class PhaseTimer {
  private:
   enum Mode : unsigned char { kOff, kStackOnly, kFull };
   Mode mode_ = kOff;
+  std::uint32_t node_ = 0;
   std::uint64_t start_us_ = 0;
 };
 

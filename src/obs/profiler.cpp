@@ -1,5 +1,7 @@
 #include "obs/profiler.hpp"
 
+#include "obs/recorder.hpp"
+
 #if LLPMST_OBS
 
 #if defined(__linux__) && (defined(__x86_64__) || defined(__aarch64__))
@@ -39,9 +41,6 @@ namespace llpmst::obs {
 
 namespace {
 
-/// Phase frames stored per sample (the deeper tail is folded into the last
-/// stored frame's attribution; real nesting is ~4).
-constexpr std::size_t kMaxSamplePhase = 8;
 /// Code frames stored per sample: the leaf PC plus up to 15 return
 /// addresses from the frame-pointer walk.
 constexpr std::size_t kMaxSampleCode = 16;
@@ -51,11 +50,10 @@ constexpr std::size_t kMaxSampleCode = 16;
 // One captured sample.  Every word is a relaxed atomic so the SIGPROF
 // handler (the owning thread, asynchronously) and a snapshot (another
 // thread) never tear memory; the ring head's release store publishes the
-// slot, exactly the sched_events protocol.
+// slot.
 struct ProfSlot {
-  std::atomic<std::uint64_t> meta{0};  // nphase << 8 | ncode
-  std::atomic<std::uint64_t> phase[kMaxSamplePhase];  // const char* literals
-  std::atomic<std::uint64_t> code[kMaxSampleCode];    // program counters
+  std::atomic<std::uint64_t> meta{0};  // phase node << 8 | ncode
+  std::atomic<std::uint64_t> code[kMaxSampleCode];  // program counters
 };
 
 // Per-thread profiler state.  Registered once under the cold mutex and
@@ -144,18 +142,13 @@ LLPMST_NO_SANITIZE void prof_signal_handler(int, siginfo_t*, void* uctx) {
   ProfSlot& slot = t->slots[h & (kProfRingCapacity - 1)];
 
   // Phase path: depth first (acquire pairs with phase_push's release), then
-  // the frames it publishes.
-  std::uint64_t nphase = 0;
+  // the top frame it publishes — an interned node naming the whole path.
+  std::uint64_t node = 0;
   if (t->phase_stack != nullptr) {
     const std::uint32_t depth = std::min<std::uint32_t>(
         t->phase_stack->depth.load(std::memory_order_acquire),
         static_cast<std::uint32_t>(detail::kMaxPhaseDepth));
-    nphase = std::min<std::uint64_t>(depth, kMaxSamplePhase);
-    for (std::uint64_t i = 0; i < nphase; ++i) {
-      slot.phase[i].store(
-          reinterpret_cast<std::uint64_t>(t->phase_stack->frames[i]),
-          std::memory_order_relaxed);
-    }
+    if (depth > 0) node = t->phase_stack->frames[depth - 1];
   }
 
   // Leaf PC, then a bounded frame-pointer walk.  Every dereference is
@@ -183,7 +176,7 @@ LLPMST_NO_SANITIZE void prof_signal_handler(int, siginfo_t*, void* uctx) {
     fp = next_fp;
   }
 
-  slot.meta.store((nphase << 8) | ncode, std::memory_order_relaxed);
+  slot.meta.store((node << 8) | ncode, std::memory_order_relaxed);
   // Release: a snapshot that sees this head sees the slot words above.
   t->head.store(h + 1, std::memory_order_release);
   errno = saved_errno;
@@ -446,20 +439,12 @@ ProfSnapshot prof_snapshot() {
     for (std::uint64_t i = h - count; i < h; ++i) {
       const ProfSlot& slot = t->slots[i & (kProfRingCapacity - 1)];
       const std::uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-      const std::uint64_t nphase = (meta >> 8) & 0xff;
+      const auto node = static_cast<std::uint32_t>(meta >> 8);
       const std::uint64_t ncode = meta & 0xff;
 
-      std::string phase_fold;   // ';'-joined for the stack key
-      std::string phase_slash;  // '/'-joined to match snapshot_phases()
-      for (std::uint64_t p = 0; p < nphase && p < kMaxSamplePhase; ++p) {
-        const char* frame = reinterpret_cast<const char*>(
-            slot.phase[p].load(std::memory_order_relaxed));
-        if (frame == nullptr) continue;
-        if (!phase_fold.empty()) phase_fold.push_back(';');
-        phase_fold += frame;
-        if (!phase_slash.empty()) phase_slash.push_back('/');
-        phase_slash += frame;
-      }
+      // ';'-joined for the stack key, '/'-joined to match snapshot_phases().
+      std::string phase_fold = detail::node_path(node, ';');
+      std::string phase_slash = detail::node_path(node);
       if (phase_fold.empty()) {
         phase_fold = "(no_phase)";
         phase_slash = "(no_phase)";

@@ -1,43 +1,30 @@
 // Sampling CPU profiler: per-thread POSIX CPU-time timers deliver SIGPROF
 // at a configurable rate; an async-signal-safe handler captures the live
-// PhaseTimer path, the worker id, and a bounded frame-pointer stack walk
-// into a per-thread lock-free sample ring (modeled on sched_events.hpp).
-// Snapshotting symbolizes the unique PCs (dladdr + demangle) and folds the
-// samples into flamegraph-ready stacks ("phase;subphase;func 123") plus a
-// per-phase sample histogram for the run report's schema-v4 "profile"
-// section.
+// PhaseTimer path (the interned id of the innermost frame), the worker id,
+// and a bounded frame-pointer stack walk into a per-thread lock-free sample
+// ring.  Snapshotting symbolizes the unique PCs (dladdr + demangle) and
+// folds the samples into flamegraph-ready stacks ("phase;subphase;func
+// 123") plus the per-phase histogram of the run report's "profile" section.
 //
-// Design contract:
-//   * Signal safety.  The SIGPROF handler touches only: the owning thread's
-//     pre-registered ProfThread (found via a thread_local pointer whose
-//     first — allocating — access happens at registration, never in the
-//     handler), the thread's PhaseStack (written with release ordering by
-//     PhaseTimer, see obs/metrics.hpp), the ucontext program counter, and a
-//     frame-pointer walk whose every dereference is bounds-checked against
-//     the thread's stack extent (recorded once via pthread_getattr_np), so
-//     it cannot fault even in a build without frame pointers — it just
-//     terminates early.  No allocation, no locks, no formatting; errno is
-//     saved and restored.
-//   * SPSC rings.  The handler is the only writer of its thread's ring (it
-//     runs *on* that thread); slots are relaxed atomics with a release
-//     head store, exactly the sched_events protocol, so a snapshot racing a
-//     straggler sample reads at worst a stale sample, never tears memory.
-//     Full rings drop-oldest and the snapshot reports how many.
-//   * Degradation.  prof_start() NEVER fails the run: on an unsupported
-//     platform (non-Linux, non-x86-64/AArch64) or a timer_create failure it
-//     returns false with a human-readable reason, and prof_snapshot()
-//     returns {available:false, reason} — the same contract hw_counters
-//     uses.  Under LLPMST_OBS=0 everything here is an inline no-op.
-//   * Threads arm lazily.  prof_start() arms the calling thread;
-//     ThreadPool workers arm themselves on their next region via
-//     prof_ensure_thread_timer() (one relaxed load when profiling is off).
-//     Each thread's timer counts *that thread's* CPU time
-//     (CLOCK_THREAD_CPUTIME_ID), so idle threads produce no samples and
-//     the aggregate sample count is proportional to total CPU burn.
+// Design contract (docs/observability.md has the degradation matrix):
+//   * Signal safety.  The handler touches only the owning thread's
+//     pre-registered ProfThread, its PhaseStack (release-published by
+//     PhaseTimer), the ucontext registers, and a frame-pointer walk
+//     bounds-checked against the thread's stack extent — it cannot fault,
+//     allocates nothing, takes no lock, and saves/restores errno.
+//   * SPSC rings: the handler is the only writer of its thread's ring;
+//     slots are relaxed atomics behind a release head store.  Full rings
+//     drop-oldest and the snapshot reports how many.
+//   * prof_start() never fails the run: on an unsupported platform or a
+//     timer failure it returns false with a reason and prof_snapshot()
+//     returns {available:false, reason}.  Under LLPMST_OBS=0 everything
+//     here is an inline no-op.
+//   * Threads arm lazily: prof_start() arms the calling thread, pool
+//     workers arm on their next region via prof_ensure_thread_timer().
+//     Each timer counts its own thread's CPU time.
 //
 // Lifecycle: prof_start(hz) ... parallel work ... prof_stop();
-// prof_snapshot() after stop (coordinator call, same rule as
-// snapshot_sched_events).  prof_start resets previously buffered samples.
+// prof_snapshot() after stop.  prof_start resets buffered samples.
 #pragma once
 
 #include <cstdint>

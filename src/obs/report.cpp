@@ -1,5 +1,6 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -7,7 +8,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/mem_stats.hpp"
 #include "obs/metrics.hpp"
-#include "obs/round_stats.hpp"
+#include "obs/recorder.hpp"
 
 namespace llpmst::obs {
 
@@ -56,6 +57,51 @@ void append_hw_fields(std::string& out, const HwSample& s) {
   }
 }
 
+/// The degraded shape of an optional section: `"key":{"available":false,
+/// "reason":...},`.
+void append_unavailable(std::string& out, const char* key,
+                        const std::string& reason) {
+  out += std::string("\"") + key + "\":{\"available\":false,\"reason\":" +
+         json_quote(reason) + "},";
+}
+
+/// Appends `"key":[...]`, rendering each element with fn(element) and
+/// separating them with commas.
+template <typename Range, typename Fn>
+void append_array(std::string& out, const char* key, const Range& items,
+                  Fn&& fn) {
+  out += "\"";
+  out += key;
+  out += "\":[";
+  bool first = true;
+  for (const auto& item : items) {
+    if (!first) out.push_back(',');
+    first = false;
+    fn(item);
+  }
+  out += "]";
+}
+
+std::vector<std::string> warnings_with_drops() {
+  std::vector<std::string> out = snapshot_warnings();
+#if LLPMST_OBS
+  using detail::RecordKind;
+  const auto note = [&out](RecordKind kind, const char* what,
+                           std::uint64_t cap) {
+    const std::uint64_t n = detail::dropped_records(kind);
+    if (n == 0) return;
+    out.push_back(std::to_string(n) + " " + what +
+                  " dropped past the per-thread cap of " +
+                  std::to_string(cap));
+  };
+  note(RecordKind::kRound, "round records", kMaxRoundRecords);
+  note(RecordKind::kSched, "scheduler events", kMaxSchedEvents);
+  note(RecordKind::kSpan, "trace spans", kMaxTraceRecords);
+  note(RecordKind::kSample, "trace counter samples", kMaxTraceRecords);
+#endif
+  return out;
+}
+
 }  // namespace
 
 std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
@@ -65,22 +111,16 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
   out += "{\"schema\":\"llpmst-run-report\",\"schema_version\":4,";
 
   // --- run metadata
-  out += "\"run\":{\"tool\":";
-  out += json_quote(info.tool);
-  out += ",\"algorithm\":";
-  out += json_quote(info.algorithm);
-  out += ",";
+  out += "\"run\":{\"tool\":" + json_quote(info.tool) +
+         ",\"algorithm\":" + json_quote(info.algorithm) + ",";
   append_kv_u64(out, "threads", info.threads);
   out += "\"graph\":{";
   append_kv_u64(out, "vertices", info.vertices);
   append_kv_u64(out, "edges", info.edges, false);
   out += "},";
   append_kv_ms(out, "wall_ms", info.wall_ms);
-  out += "\"outcome\":";
-  out += json_quote(info.outcome);
-  out += ",\"fallback_reason\":";
-  out += json_quote(info.fallback_reason);
-  out += "},";
+  out += "\"outcome\":" + json_quote(info.outcome) +
+         ",\"fallback_reason\":" + json_quote(info.fallback_reason) + "},";
 
   // --- per-algorithm stats
   if (algo != nullptr) {
@@ -100,11 +140,10 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     out += "},\"llp\":{";
     append_kv_u64(out, "sweeps", algo->llp_sweeps);
     append_kv_u64(out, "advances", algo->llp_advances);
-    out += "\"converged\":";
-    out += algo->llp_converged ? "true" : "false";
-    out += ",\"outcome\":";
-    out += json_quote(run_outcome_name(algo->outcome));
-    out += "}},";
+    out += std::string("\"converged\":") +
+           (algo->llp_converged ? "true" : "false") +
+           ",\"outcome\":" + json_quote(run_outcome_name(algo->outcome)) +
+           "}},";
   } else {
     out += "\"algo\":null,";
   }
@@ -113,9 +152,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
   if (hw == nullptr) {
     out += "\"hw\":null,";
   } else if (!hw->available) {
-    out += "\"hw\":{\"available\":false,\"reason\":";
-    out += json_quote(hw->unavailable_reason);
-    out += "},";
+    append_unavailable(out, "hw", hw->unavailable_reason);
   } else {
     out += "\"hw\":{\"available\":true,";
     append_hw_fields(out, *hw);
@@ -124,19 +161,14 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     std::snprintf(buf, sizeof buf, "\"multiplex_ratio\":%.4f,",
                   hw->multiplex_ratio);
     out += buf;
-    out += "\"phases\":[";
-    bool first_hw = true;
-    for (const HwPhaseSample& p : snapshot_hw_phases()) {
-      if (!first_hw) out.push_back(',');
-      first_hw = false;
-      out += "{\"name\":";
-      out += json_quote(p.name);
-      out += ",";
-      append_kv_u64(out, "count", p.count);
-      append_hw_fields(out, p.totals);
-      out += "}";
-    }
-    out += "]},";
+    append_array(out, "phases", snapshot_hw_phases(),
+                 [&out](const HwPhaseSample& p) {
+                   out += "{\"name\":" + json_quote(p.name) + ",";
+                   append_kv_u64(out, "count", p.count);
+                   append_hw_fields(out, p.totals);
+                   out += "}";
+                 });
+    out += "},";
   }
 
   // --- memory (schema v2; peak RSS works in every flavour)
@@ -155,65 +187,44 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     }
   }
 
-  // --- registry metrics
-  const std::vector<MetricSample> metrics = snapshot_metrics();
-  out += "\"counters\":{";
-  bool first = true;
-  for (const MetricSample& m : metrics) {
-    if (m.is_gauge) continue;
-    if (!first) out.push_back(',');
-    first = false;
-    out += json_quote(m.name);
-    out.push_back(':');
-    out += std::to_string(m.value);
+  // --- the scope's metrics, phase aggregates and rounds
+  std::vector<MetricSample> metrics[2];  // counters, gauges
+  for (MetricSample& m : snapshot_scope_metrics()) {
+    metrics[m.is_gauge ? 1 : 0].push_back(std::move(m));
   }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const MetricSample& m : metrics) {
-    if (!m.is_gauge) continue;
-    if (!first) out.push_back(',');
-    first = false;
-    out += json_quote(m.name);
-    out.push_back(':');
-    out += std::to_string(m.value);
+  for (const char* key : {"counters", "gauges"}) {
+    out += "\"";
+    out += key;
+    out += "\":{";
+    const auto& list = metrics[key[0] == 'g' ? 1 : 0];
+    for (const MetricSample& m : list) {
+      out += json_quote(m.name) + ":" + std::to_string(m.value) + ",";
+    }
+    if (!list.empty()) out.pop_back();
+    out += "},";
   }
-  out += "},";
 
-  // --- phase aggregates
-  out += "\"phases\":[";
-  first = true;
-  for (const PhaseSample& p : snapshot_phases()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":";
-    out += json_quote(p.name);
-    out += ",";
+  append_array(out, "phases", snapshot_phases(), [&out](const PhaseSample& p) {
+    out += "{\"name\":" + json_quote(p.name) + ",";
     append_kv_u64(out, "count", p.count);
     append_kv_ms(out, "total_ms", static_cast<double>(p.total_us) / 1000.0,
                  false);
     out += "}";
-  }
-  out += "],";
+  });
+  out += ",";
 
-  // --- per-round solver telemetry (schema v3; [] when nothing recorded)
-  out += "\"rounds\":[";
-  first = true;
-  for (const RoundRecord& rr : snapshot_rounds()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"label\":";
-    out += json_quote(rr.label);
-    out += ",";
-    append_kv_u64(out, "round", rr.round);
-    append_kv_u64(out, "components", rr.components);
-    append_kv_u64(out, "edges", rr.edges);
-    append_kv_u64(out, "advances", rr.advances);
-    append_kv_ms(out, "wall_ms", rr.wall_ms);
+  append_array(out, "rounds", snapshot_rounds(), [&out](const RoundRecord& r) {
+    out += "{\"label\":" + json_quote(r.label) + ",";
+    append_kv_u64(out, "round", r.round);
+    append_kv_u64(out, "components", r.components);
+    append_kv_u64(out, "edges", r.edges);
+    append_kv_u64(out, "advances", r.advances);
+    append_kv_ms(out, "wall_ms", r.wall_ms);
     char ibuf[48];
-    std::snprintf(ibuf, sizeof(ibuf), "\"imbalance\":%.4f}", rr.imbalance);
+    std::snprintf(ibuf, sizeof(ibuf), "\"imbalance\":%.4f}", r.imbalance);
     out += ibuf;
-  }
-  out += "],";
+  });
+  out += ",";
 
   // --- scheduler summary (schema v3; null when no events were collected)
   {
@@ -236,31 +247,26 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
       append_kv_u64(out, "steal_successes", sched.steal_successes);
       append_kv_u64(out, "critical_path_us", sched.critical_path_us);
       append_kv_u64(out, "dropped_events", sched.dropped_events);
-      out += "\"workers\":[";
-      bool first_w = true;
-      for (const WorkerBreakdown& w : sched.workers) {
-        if (!first_w) out.push_back(',');
-        first_w = false;
+      append_array(out, "workers", sched.workers,
+                   [&out](const WorkerBreakdown& w) {
+                     out += "{";
+                     append_kv_u64(out, "worker", w.worker);
+                     append_kv_u64(out, "busy_us", w.busy_us);
+                     append_kv_u64(out, "idle_us", w.idle_us);
+                     append_kv_u64(out, "tasks", w.tasks);
+                     append_kv_u64(out, "steal_attempts", w.steal_attempts);
+                     append_kv_u64(out, "steal_successes", w.steal_successes,
+                                   false);
+                     out += "}";
+                   });
+      out += ",";
+      append_array(out, "grain_hist", sched.grain_hist, [&out](const auto& g) {
         out += "{";
-        append_kv_u64(out, "worker", w.worker);
-        append_kv_u64(out, "busy_us", w.busy_us);
-        append_kv_u64(out, "idle_us", w.idle_us);
-        append_kv_u64(out, "tasks", w.tasks);
-        append_kv_u64(out, "steal_attempts", w.steal_attempts);
-        append_kv_u64(out, "steal_successes", w.steal_successes, false);
+        append_kv_u64(out, "grain", g.first);
+        append_kv_u64(out, "count", g.second, false);
         out += "}";
-      }
-      out += "],\"grain_hist\":[";
-      bool first_g = true;
-      for (const auto& [bucket, count] : sched.grain_hist) {
-        if (!first_g) out.push_back(',');
-        first_g = false;
-        out += "{";
-        append_kv_u64(out, "grain", bucket);
-        append_kv_u64(out, "count", count, false);
-        out += "}";
-      }
-      out += "]},";
+      });
+      out += "},";
     }
   }
 
@@ -268,41 +274,32 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
   if (profile == nullptr) {
     out += "\"profile\":null,";
   } else if (!profile->available) {
-    out += "\"profile\":{\"available\":false,\"reason\":";
-    out += json_quote(profile->unavailable_reason);
-    out += "},";
+    append_unavailable(out, "profile", profile->unavailable_reason);
   } else {
     out += "\"profile\":{\"available\":true,";
     append_kv_u64(out, "hz", profile->hz);
     append_kv_u64(out, "samples", profile->samples);
     append_kv_u64(out, "dropped", profile->dropped);
-    out += "\"phases\":[";
-    bool first_p = true;
-    for (const ProfPhaseCount& p : profile->phases) {
-      if (!first_p) out.push_back(',');
-      first_p = false;
-      out += "{\"name\":";
-      out += json_quote(p.name);
-      out += ",";
-      append_kv_u64(out, "samples", p.samples, false);
-      out += "}";
-    }
+    append_array(out, "phases", profile->phases,
+                 [&out](const ProfPhaseCount& p) {
+                   out += "{\"name\":" + json_quote(p.name) + ",";
+                   append_kv_u64(out, "samples", p.samples, false);
+                   out += "}";
+                 });
     // Top stacks only: the full fold goes to the --profile-out file; the
     // report carries enough for drift triage without ballooning.
-    out += "],\"top_stacks\":[";
-    first_p = true;
-    std::size_t emitted = 0;
-    for (const ProfStack& st : profile->stacks) {
-      if (emitted++ == 20) break;
-      if (!first_p) out.push_back(',');
-      first_p = false;
-      out += "{\"stack\":";
-      out += json_quote(st.stack);
-      out += ",";
+    const std::vector<ProfStack> top(
+        profile->stacks.begin(),
+        profile->stacks.begin() +
+            static_cast<std::ptrdiff_t>(std::min<std::size_t>(
+                profile->stacks.size(), 20)));
+    out += ",";
+    append_array(out, "top_stacks", top, [&out](const ProfStack& st) {
+      out += "{\"stack\":" + json_quote(st.stack) + ",";
       append_kv_u64(out, "samples", st.samples, false);
       out += "}";
-    }
-    out += "]},";
+    });
+    out += "},";
   }
 
   // --- estimated DRAM bandwidth per phase (schema v4; derived from hw)
@@ -311,20 +308,12 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
   } else {
     const BandwidthSnapshot bw = bandwidth_snapshot(hw);
     if (!bw.available) {
-      out += "\"bandwidth\":{\"available\":false,\"reason\":";
-      out += json_quote(bw.unavailable_reason);
-      out += "},";
+      append_unavailable(out, "bandwidth", bw.unavailable_reason);
     } else {
       out += "\"bandwidth\":{\"available\":true,";
       append_kv_u64(out, "line_bytes", bw.line_bytes);
-      out += "\"phases\":[";
-      bool first_b = true;
-      for (const PhaseBandwidth& p : bw.phases) {
-        if (!first_b) out.push_back(',');
-        first_b = false;
-        out += "{\"name\":";
-        out += json_quote(p.name);
-        out += ",";
+      append_array(out, "phases", bw.phases, [&out](const PhaseBandwidth& p) {
+        out += "{\"name\":" + json_quote(p.name) + ",";
         append_kv_u64(out, "cache_misses", p.cache_misses);
         append_kv_u64(out, "est_bytes", p.est_bytes);
         append_kv_ms(out, "wall_ms", p.wall_ms);
@@ -333,37 +322,17 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
                       "\"est_gbps\":%.4f,\"instr_per_byte\":%.4f,",
                       p.est_gbps, p.instr_per_byte);
         out += bbuf;
-        out += "\"verdict\":";
-        out += json_quote(bound_verdict_name(p.verdict));
-        out += "}";
-      }
-      out += "]},";
+        out += "\"verdict\":" + json_quote(bound_verdict_name(p.verdict)) + "}";
+      });
+      out += "},";
     }
   }
 
-  // --- warnings
-  out += "\"warnings\":[";
-  first = true;
-  for (const std::string& w : snapshot_warnings()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += json_quote(w);
-  }
-  out += "]}";
+  // --- warnings, then what the recorder dropped at capacity
+  append_array(out, "warnings", warnings_with_drops(),
+               [&out](const std::string& w) { out += json_quote(w); });
+  out += "}";
   return out;
-}
-
-bool write_run_report(const std::string& path, const std::string& json,
-                      std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok && error != nullptr) *error = "short write to " + path;
-  return ok;
 }
 
 }  // namespace llpmst::obs

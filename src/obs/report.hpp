@@ -1,39 +1,12 @@
 // JSON run report: one stable document combining run metadata, the
-// algorithm's MstAlgoStats/HeapStats/LLP instrumentation, every registered
-// observability counter/gauge, aggregated phase timings, and warnings.
-// This is what `mst_tool --metrics-json` and the bench `--metrics-json`
-// flags write; tools/ and CI validate it against the schema described in
-// docs/observability.md:
-//
-//   {
-//     "schema": "llpmst-run-report", "schema_version": 4,
-//     "run": {"tool":..., "algorithm":..., "threads":N,
-//             "graph": {"vertices":N, "edges":M}, "wall_ms":X},
-//     "algo": { heap/fix/sweep stats ... } | null,
-//     "hw":   null                                    (not requested)
-//           | {"available": false, "reason": "..."}   (degraded)
-//           | {"available": true, "cycles":N|null, ..., "phases":[...]},
-//     "mem":  {"peak_rss_bytes":N, "alloc": {...} | null},
-//     "counters": {"llp_prim/heap_inserts": N, ...},
-//     "gauges":   {"boruvka/rounds": N, ...},
-//     "phases":   [{"name":..., "count":N, "total_ms":X}, ...],
-//     "rounds":   [{"label":..., "round":N, "components":N, "edges":N,
-//                   "advances":N, "wall_ms":X, "imbalance":X}, ...],
-//     "scheduler": null | {"utilization":X, "steal_success_rate":X,
-//                          "span_us":N, ..., "workers":[...],
-//                          "grain_hist":[...]},
-//     "profile": null                                  (not requested)
-//              | {"available": false, "reason": "..."} (degraded)
-//              | {"available": true, "hz":N, "samples":N, "dropped":N,
-//                 "phases":[{"name":..., "samples":N}, ...],
-//                 "top_stacks":[{"stack":"a;b;c", "samples":N}, ...]},
-//     "bandwidth": null | {"available": false, "reason": "..."}
-//                | {"available": true, "line_bytes":64,
-//                   "phases":[{"name":..., "cache_misses":N,
-//                              "est_bytes":N, "wall_ms":X, "est_gbps":X,
-//                              "instr_per_byte":X, "verdict":"..."}]},
-//     "warnings": ["..."]
-//   }
+// algorithm's MstAlgoStats/HeapStats/LLP instrumentation, and a view of the
+// current run scope (obs/recorder.hpp): the counters/gauges it recorded,
+// its phase timings, rounds, scheduler summary and warnings — nothing from
+// another scope, so a per-query report in llpmstd holds only its query.
+// This is what `mst_tool --metrics-json`, the bench `--metrics-json` flags
+// and every executed llpmstd query write.  The document (schema_version 4,
+// the one current version) is specified, with an example, in
+// docs/observability.md; tools/check_report_schema.py checks it in CI.
 //
 // The report itself is always available — an LLPMST_OBS=0 build emits the
 // same document with empty counters/gauges/phases (and the "unavailable"
@@ -80,7 +53,9 @@ struct RunInfo {
                                                nullptr);
 
 /// Writes `json` to `path`.  Returns false and sets *error on I/O failure.
-bool write_run_report(const std::string& path, const std::string& json,
-                      std::string* error);
+inline bool write_run_report(const std::string& path, const std::string& json,
+                             std::string* error) {
+  return write_file(path, json, error);
+}
 
 }  // namespace llpmst::obs

@@ -1,188 +1,94 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <mutex>
-#include <vector>
+#include <utility>
 
 namespace llpmst::obs {
 
-#if LLPMST_OBS
-
 namespace {
 
-struct TraceEvent {
-  std::string name;
-  std::uint64_t ts_us = 0;
-  std::uint64_t dur_us = 0;  // for "C" events: the counter value
-  std::uint32_t pid = 0;     // 0 = phase spans; 1 = scheduler timelines
-  std::uint32_t tid = 0;
-  char ph = 'X';
-};
+#if LLPMST_OBS
 
-// One buffer per emitting thread.  The owning thread appends; the reader
-// (trace_json, after trace_stop) walks all buffers.  The per-buffer mutex is
-// uncontended in steady state — it exists so a read overlapping a straggler
-// emit is defined behaviour rather than a race.
-struct TraceBuffer {
-  std::mutex mu;
-  std::vector<TraceEvent> events;
-  std::uint64_t dropped = 0;
-};
+using detail::Record;
+using detail::RecordKind;
 
-struct TraceState {
-  std::atomic<bool> collecting{false};
-  std::mutex buffers_mu;
-  std::vector<std::unique_ptr<TraceBuffer>> buffers;  // stable addresses
-};
+constexpr unsigned kTraceKinds = detail::kind_bit(RecordKind::kSpan) |
+                                 detail::kind_bit(RecordKind::kSample) |
+                                 detail::kind_bit(RecordKind::kSched);
 
-TraceState& state() {
-  static TraceState* s = new TraceState;  // leaked: outlives all threads
-  return *s;
+/// The pid-1 track of a scheduler event ({name, ph}), or {null, 0} for the
+/// aggregate-only points (steal attempts, grain decisions).
+std::pair<const char*, char> sched_track(const Record& r) {
+  switch (static_cast<SchedEventKind>(r.sched)) {
+    case SchedEventKind::kTask: return {"sched/task", 'X'};
+    case SchedEventKind::kIdle: return {"sched/idle", 'X'};
+    case SchedEventKind::kStealSuccess: return {"sched/steal", 'i'};
+    default: return {nullptr, 0};
+  }
 }
 
-TraceBuffer& local_buffer() {
-  thread_local TraceBuffer* buf = [] {
-    TraceState& s = state();
-    std::lock_guard lock(s.buffers_mu);
-    s.buffers.push_back(std::make_unique<TraceBuffer>());
-    return s.buffers.back().get();
-  }();
-  return *buf;
-}
-
-void emit_full(std::string_view name, std::uint64_t ts_us,
-               std::uint64_t dur_us, std::uint32_t pid, std::uint32_t tid,
-               char ph) {
-  TraceBuffer& buf = local_buffer();
-  std::lock_guard lock(buf.mu);
-  if (buf.events.size() >= kMaxTraceEventsPerThread) {
-    if (buf.dropped++ == 0) {
-      add_warning("trace buffer full on one thread; dropping further events");
+/// Calls fn(name, ph, pid, tid, record) for every event of the trace.
+template <typename Fn>
+void for_each_event(Fn&& fn) {
+  detail::visit_records(kTraceKinds, [&](std::uint32_t tid, const Record& r) {
+    if (r.kind == RecordKind::kSched) {
+      const auto [name, ph] = sched_track(r);
+      if (name != nullptr) fn(name, ph, 1u, tid, r);
+    } else {
+      fn(detail::node_path(r.node),
+         r.kind == RecordKind::kSample ? 'C' : 'X', 0u, tid, r);
     }
-    return;
-  }
-  buf.events.push_back(TraceEvent{std::string(name), ts_us, dur_us, pid, tid,
-                                  ph});
-}
-
-void emit(std::string_view name, std::uint64_t ts_us, std::uint64_t dur_us,
-          char ph) {
-  emit_full(name, ts_us, dur_us, 0, static_cast<std::uint32_t>(shard_id()),
-            ph);
-}
-
-}  // namespace
-
-void trace_start() {
-  TraceState& s = state();
-  {
-    std::lock_guard lock(s.buffers_mu);
-    for (auto& buf : s.buffers) {
-      std::lock_guard bl(buf->mu);
-      buf->events.clear();
-      buf->dropped = 0;
-    }
-  }
-  s.collecting.store(true, std::memory_order_release);
-}
-
-void trace_stop() {
-  state().collecting.store(false, std::memory_order_release);
-}
-
-bool trace_collecting() {
-  return state().collecting.load(std::memory_order_relaxed);
-}
-
-void trace_emit(std::string_view name, std::uint64_t ts_us,
-                std::uint64_t dur_us) {
-  if (!trace_collecting()) return;
-  emit(name, ts_us, dur_us, 'X');
-}
-
-void trace_emit_counter(std::string_view name, std::uint64_t ts_us,
-                        std::uint64_t value) {
-  if (!trace_collecting()) return;
-  emit(name, ts_us, value, 'C');
-}
-
-void trace_emit_for(std::uint32_t pid, std::uint32_t tid,
-                    std::string_view name, char ph, std::uint64_t ts_us,
-                    std::uint64_t dur_us) {
-  if (!trace_collecting()) return;
-  emit_full(name, ts_us, dur_us, pid, tid, ph);
-}
-
-std::size_t trace_event_count() {
-  TraceState& s = state();
-  std::size_t n = 0;
-  std::lock_guard lock(s.buffers_mu);
-  for (auto& buf : s.buffers) {
-    std::lock_guard bl(buf->mu);
-    n += buf->events.size();
-  }
-  return n;
-}
-
-std::string trace_json() {
-  TraceState& s = state();
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char line[160];
-  std::lock_guard lock(s.buffers_mu);
-  for (auto& buf : s.buffers) {
-    std::lock_guard bl(buf->mu);
-    for (const TraceEvent& e : buf->events) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += "{\"name\":";
-      out += json_quote(e.name);
-      if (e.ph == 'C') {
-        std::snprintf(line, sizeof(line),
-                      ",\"cat\":\"llpmst\",\"ph\":\"C\",\"ts\":%llu,"
-                      "\"pid\":%u,\"tid\":%u,\"args\":{\"value\":%llu}}",
-                      static_cast<unsigned long long>(e.ts_us), e.pid, e.tid,
-                      static_cast<unsigned long long>(e.dur_us));
-      } else if (e.ph == 'i') {
-        // Instant event, thread-scoped ("s":"t").
-        std::snprintf(line, sizeof(line),
-                      ",\"cat\":\"llpmst\",\"ph\":\"i\",\"ts\":%llu,"
-                      "\"s\":\"t\",\"pid\":%u,\"tid\":%u}",
-                      static_cast<unsigned long long>(e.ts_us), e.pid, e.tid);
-      } else {
-        std::snprintf(line, sizeof(line),
-                      ",\"cat\":\"llpmst\",\"ph\":\"X\",\"ts\":%llu,"
-                      "\"dur\":%llu,\"pid\":%u,\"tid\":%u}",
-                      static_cast<unsigned long long>(e.ts_us),
-                      static_cast<unsigned long long>(e.dur_us), e.pid,
-                      e.tid);
-      }
-      out += line;
-    }
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
-}
-
-#else  // !LLPMST_OBS
-
-std::string trace_json() {
-  return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}";
+  });
 }
 
 #endif  // LLPMST_OBS
 
-bool write_trace_json(const std::string& path, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::string json = trace_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok && error != nullptr) *error = "short write to " + path;
-  return ok;
+}  // namespace
+
+std::string trace_json() {
+  std::string out = "{\"traceEvents\":[";
+#if LLPMST_OBS
+  bool first = true;
+  char line[160];
+  for_each_event([&](const std::string& name, char ph, unsigned pid,
+                     std::uint32_t tid, const Record& r) {
+    if (!first) out.push_back(',');
+    first = false;
+    out += "{\"name\":";
+    out += json_quote(name);
+    const auto ts = static_cast<unsigned long long>(r.ts_us);
+    const auto v = static_cast<unsigned long long>(r.v[0]);
+    if (ph == 'C') {
+      std::snprintf(line, sizeof(line),
+                    ",\"cat\":\"llpmst\",\"ph\":\"C\",\"ts\":%llu,"
+                    "\"pid\":%u,\"tid\":%u,\"args\":{\"value\":%llu}}",
+                    ts, pid, tid, v);
+    } else if (ph == 'i') {
+      // Instant event, thread-scoped ("s":"t").
+      std::snprintf(line, sizeof(line),
+                    ",\"cat\":\"llpmst\",\"ph\":\"i\",\"ts\":%llu,"
+                    "\"s\":\"t\",\"pid\":%u,\"tid\":%u}",
+                    ts, pid, tid);
+    } else {
+      std::snprintf(line, sizeof(line),
+                    ",\"cat\":\"llpmst\",\"ph\":\"X\",\"ts\":%llu,"
+                    "\"dur\":%llu,\"pid\":%u,\"tid\":%u}",
+                    ts, v, pid, tid);
+    }
+    out += line;
+  });
+#endif
+  out += "],\"displayTimeUnit\":\"ms\"}";
+  return out;
+}
+
+std::size_t trace_event_count() {
+  std::size_t n = 0;
+#if LLPMST_OBS
+  for_each_event([&n](const auto&, char, unsigned, std::uint32_t,
+                      const Record&) { ++n; });
+#endif
+  return n;
 }
 
 }  // namespace llpmst::obs

@@ -1,77 +1,36 @@
-// Chrome trace-event export: collected spans serialize to the JSON format
-// understood by chrome://tracing and https://ui.perfetto.dev.
+// Chrome trace-event export: the trace view over the recorder, in the JSON
+// format of chrome://tracing and https://ui.perfetto.dev.
 //
-// Usage (what mst_tool --trace does):
 //   obs::set_enabled(true);       // phase timers feed the trace
 //   obs::trace_start();
 //   run_algorithm();
 //   obs::trace_stop();
 //   obs::write_trace_json("trace.json", &err);
 //
-// Collection is per-thread: each thread appends to its own buffer (guarded
-// by a per-buffer mutex that is only ever contended by the final reader),
-// so concurrent workers never serialize against each other.  `tid` is the
-// obs shard id of the emitting thread.  Buffers are capped at
-// kMaxTraceEventsPerThread; overflow drops events and records a warning.
-//
-// Emitted JSON: {"traceEvents":[{"name":...,"cat":"llpmst","ph":"X",
-// "ts":<us>,"dur":<us>,"pid":0,"tid":<n>}, ...],"displayTimeUnit":"ms"}
-// plus "C" (counter-track) events for per-round series.
+// The document holds the current run scope's phase and "pool/region" spans
+// ("X") and counter samples ("C") under pid 0 (tid = shard id), and its
+// scheduler events as per-worker tracks under pid 1: "sched/task" and
+// "sched/idle" spans, "sched/steal" instants.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 
-#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 
 namespace llpmst::obs {
 
-#if LLPMST_OBS
-inline constexpr std::size_t kMaxTraceEventsPerThread = 1u << 20;
-
-/// Clears previous events and begins collecting.
-void trace_start();
-/// Stops collecting.  Call (after joining parallel work) before reading.
-void trace_stop();
-[[nodiscard]] bool trace_collecting();
-
-/// Appends a complete ("ph":"X") span to the calling thread's buffer.
-/// No-op unless collecting.  Timestamps come from obs::now_us().
-void trace_emit(std::string_view name, std::uint64_t ts_us,
-                std::uint64_t dur_us);
-/// Appends a counter-track ("ph":"C") sample — a stepped series in the
-/// trace viewer, e.g. active edges per Boruvka round.
-void trace_emit_counter(std::string_view name, std::uint64_t ts_us,
-                        std::uint64_t value);
-
-/// Appends an event with an explicit pid/tid instead of the calling
-/// thread's shard id — how the scheduler timelines render as their own
-/// per-worker tracks (pid 1) next to the phase spans (pid 0).  `ph` is 'X'
-/// (complete span, dur_us used) or 'i' (instant, dur_us ignored).
-void trace_emit_for(std::uint32_t pid, std::uint32_t tid,
-                    std::string_view name, char ph, std::uint64_t ts_us,
-                    std::uint64_t dur_us);
-
-/// Number of events currently buffered across all threads.
-[[nodiscard]] std::size_t trace_event_count();
-#else
-inline void trace_start() {}
-inline void trace_stop() {}
-[[nodiscard]] inline bool trace_collecting() { return false; }
-inline void trace_emit(std::string_view, std::uint64_t, std::uint64_t) {}
-inline void trace_emit_counter(std::string_view, std::uint64_t,
-                               std::uint64_t) {}
-inline void trace_emit_for(std::uint32_t, std::uint32_t, std::string_view,
-                           char, std::uint64_t, std::uint64_t) {}
-[[nodiscard]] inline std::size_t trace_event_count() { return 0; }
-#endif  // LLPMST_OBS
-
-/// Serializes everything collected so far (a valid, possibly empty, trace
+/// Serializes the current scope's trace (a valid, possibly empty, trace
 /// document even when obs is compiled out).
 [[nodiscard]] std::string trace_json();
 
+/// Number of events trace_json() would emit.
+[[nodiscard]] std::size_t trace_event_count();
+
 /// Writes trace_json() to `path`.  Returns false and sets *error on I/O
 /// failure.
-bool write_trace_json(const std::string& path, std::string* error);
+inline bool write_trace_json(const std::string& path, std::string* error) {
+  return write_file(path, trace_json(), error);
+}
 
 }  // namespace llpmst::obs

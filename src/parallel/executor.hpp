@@ -18,6 +18,8 @@
 #include <cstddef>
 #include <type_traits>
 
+#include "obs/recorder.hpp"
+
 namespace llpmst {
 
 class Executor {
@@ -41,14 +43,25 @@ class Executor {
   /// path in the library and a capturing lambda must not cost a heap
   /// allocation per region.  `f` only needs to outlive the call, which the
   /// join guarantees.
+  ///
+  /// While anything observes (obs gates on), every worker's share runs in
+  /// the submitter's run scope under its innermost phase, so records and
+  /// profiler samples taken on workers belong to the run and phase that
+  /// dispatched them; with obs off this costs one relaxed load.
   template <typename F>
   void run_team(F&& f) {
     using Fn = std::remove_reference_t<F>;
-    run_region_impl(TeamFn{
-        const_cast<void*>(static_cast<const void*>(&f)),
-        [](void* obj, std::size_t worker_id) {
-          (*static_cast<Fn*>(obj))(worker_id);
-        }});
+    const TeamFn fn{const_cast<void*>(static_cast<const void*>(&f)),
+                    [](void* obj, std::size_t worker_id) {
+                      (*static_cast<Fn*>(obj))(worker_id);
+                    }};
+#if LLPMST_OBS
+    if (obs::detail::gates() != 0) {
+      run_observed(fn);
+      return;
+    }
+#endif
+    run_region_impl(fn);
   }
 
  protected:
@@ -59,6 +72,22 @@ class Executor {
   };
 
   virtual void run_region_impl(const TeamFn& fn) = 0;
+
+ private:
+#if LLPMST_OBS
+  void run_observed(const TeamFn& fn) {
+    struct Observed {
+      TeamFn inner;
+      obs::detail::RegionContext ctx;
+    };
+    Observed region{fn, obs::detail::region_context()};
+    run_region_impl(TeamFn{&region, [](void* obj, std::size_t worker_id) {
+                             const auto& r = *static_cast<Observed*>(obj);
+                             const obs::detail::RegionWorker share(r.ctx);
+                             r.inner.invoke(r.inner.obj, worker_id);
+                           }});
+  }
+#endif
 };
 
 }  // namespace llpmst

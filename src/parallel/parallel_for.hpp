@@ -19,7 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "obs/sched_events.hpp"
+#include "obs/recorder.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/cancel.hpp"

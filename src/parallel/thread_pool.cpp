@@ -4,8 +4,6 @@
 #include <utility>
 
 #include "obs/profiler.hpp"
-#include "obs/sched_events.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/failpoint.hpp"
 
@@ -13,12 +11,9 @@ namespace llpmst {
 
 namespace {
 
-}  // namespace
-
-/// Runs one worker's share of a team region, emitting a trace span when
-/// region tracing is on.  The span carries the worker's thread (trace tid),
-/// so concurrent regions stack up lane-by-lane in the viewer.
-namespace {
+/// Runs one worker's share of a team region.  (The observed wrapper from
+/// Executor::run_team, when obs is on, sits inside `f`: it carries the
+/// run scope and records the share's span and scheduler event.)
 template <typename Fn>
 inline void run_region(const Fn& f, std::size_t worker_id) {
   // Chaos hook: "pool/task" fires once per worker per region.  Yield/sleep
@@ -36,20 +31,7 @@ inline void run_region(const Fn& f, std::size_t worker_id) {
   // load when profiling is off, a one-time cold arm per thread per profile
   // session otherwise.  (The coordinator thread is armed by prof_start().)
   obs::prof_ensure_thread_timer();
-  // Both gates are compile-time false in LLPMST_OBS=0 builds, so the whole
-  // timed branch folds away there; with obs in but idle the cost is two
-  // relaxed loads per worker per region.
-  const bool trace = obs::trace_collecting() && ThreadPool::trace_regions();
-  const bool sched = obs::sched_collecting();
-  if (!trace && !sched) {
-    f.invoke(f.obj, worker_id);
-    return;
-  }
-  const std::uint64_t t0 = obs::now_us();
   f.invoke(f.obj, worker_id);
-  const std::uint64_t dur = obs::now_us() - t0;
-  if (trace) obs::trace_emit("pool/region", t0, dur);
-  if (sched) obs::sched_record(obs::SchedEventKind::kTask, t0, dur);
 }
 
 }  // namespace

@@ -48,17 +48,6 @@ class ThreadPool : public Executor {
   /// on first use.  Benchmarks construct their own pools per thread-count.
   static ThreadPool& default_pool();
 
-  /// When on (and a trace is collecting), every team region emits one
-  /// "pool/region" span per participating worker, which renders the
-  /// parallel structure of a run in the trace viewer.  Off by default:
-  /// regions are the hottest dispatch path in the library.
-  static void set_trace_regions(bool on) {
-    trace_regions_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] static bool trace_regions() {
-    return trace_regions_.load(std::memory_order_relaxed);
-  }
-
  protected:
   /// Exceptions a worker throws are captured and rethrown on the submitting
   /// thread after the join — the caller's own exception wins, then the
@@ -69,8 +58,6 @@ class ThreadPool : public Executor {
   void run_region_impl(const TeamFn& fn) override;
 
  private:
-  inline static std::atomic<bool> trace_regions_{false};
-
   void worker_loop(std::size_t worker_id);
 
   std::size_t num_threads_;

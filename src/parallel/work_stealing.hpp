@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/sched_events.hpp"
+#include "obs/recorder.hpp"
 #include "parallel/executor.hpp"
 #include "support/assert.hpp"
 #include "support/sim_hooks.hpp"

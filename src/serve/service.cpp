@@ -440,7 +440,10 @@ void QueryService::execute(const JobPtr& job, std::size_t batch_size,
   const double queue_ms = ms_since(job->enqueued);
   const CsrGraph& g = job->snapshot->graph;
 
+  // One run scope per query: the response's report holds this query's
+  // records only, whatever other queries run concurrently or ran before.
   RunContext ctx;
+  ctx.open_run_scope();
   if (pool != nullptr) ctx.attach_pool(*pool);
   ctx.set_cancel(job->token.get());
   if (job->budget_ms > 0) ctx.set_deadline_ms(job->budget_ms);
@@ -490,6 +493,7 @@ void QueryService::execute(const JobPtr& job, std::size_t batch_size,
       info.outcome = run_outcome_name(job->token->reason());
     } else {
       try {
+        auto scope = ctx.obs_scope("serve/query");
         if (job->entry == nullptr) {
           AutoMstResult auto_result = minimum_spanning_forest(g, ctx);
           result = std::move(auto_result.result);
@@ -501,7 +505,6 @@ void QueryService::execute(const JobPtr& job, std::size_t batch_size,
             status = outcome_status(result.stats.outcome);
           }
         } else {
-          auto scope = ctx.obs_scope("serve/query");
           result = job->entry->run(g, ctx);
           have_result = true;
           info.algorithm = job->entry->name;

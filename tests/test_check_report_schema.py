@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end tests for the run-report side of tools/check_report_schema.py:
-synthesizes v1-v4 llpmst-run-report documents (and bench records with the
-optional profile section) in temp files and asserts on the checker's exit
-status.  The v4 focus: the "profile" and "bandwidth" sections must accept
-null, the {"available": false, "reason"} degradation shape, and the full
-payload — and reject structural violations.
+synthesizes llpmst-run-report documents (schema_version 4, the only one
+accepted) and bench records with the optional profile section in temp
+files and asserts on the checker's exit status.  The "profile" and
+"bandwidth" sections must accept null, the {"available": false, "reason"}
+degradation shape, and the full payload — and reject structural
+violations.
 
 Run directly (python3 tests/test_check_report_schema.py) or via ctest;
 uses only the standard library.
@@ -20,11 +21,11 @@ CHECK = Path(__file__).resolve().parent.parent / "tools" / \
     "check_report_schema.py"
 
 
-def make_report(version=4):
-    """A schema-complete llpmst-run-report at the given version."""
-    doc = {
+def make_report():
+    """A schema-complete llpmst-run-report."""
+    return {
         "schema": "llpmst-run-report",
-        "schema_version": version,
+        "schema_version": 4,
         "run": {
             "tool": "test", "algorithm": "llp-prim", "threads": 2,
             "wall_ms": 1.5, "outcome": "ok", "fallback_reason": "",
@@ -35,18 +36,14 @@ def make_report(version=4):
         "gauges": {},
         "phases": [{"name": "solve", "count": 1, "total_ms": 1.2}],
         "warnings": [],
+        "hw": None,
+        "mem": {"peak_rss_bytes": 1024,
+                "alloc": {"count": 3, "bytes": 96, "frees": 3}},
+        "rounds": [],
+        "scheduler": None,
+        "profile": None,
+        "bandwidth": None,
     }
-    if version >= 2:
-        doc["hw"] = None
-        doc["mem"] = {"peak_rss_bytes": 1024,
-                      "alloc": {"count": 3, "bytes": 96, "frees": 3}}
-    if version >= 3:
-        doc["rounds"] = []
-        doc["scheduler"] = None
-    if version >= 4:
-        doc["profile"] = None
-        doc["bandwidth"] = None
-    return doc
 
 
 def full_profile():
@@ -133,43 +130,44 @@ class CheckReportSchemaTest(unittest.TestCase):
 
     # --- version acceptance ---------------------------------------------
 
-    def test_accepts_every_schema_version(self):
-        self.assert_ok(*[make_report(v) for v in (1, 2, 3, 4)])
+    def test_accepts_the_current_version(self):
+        self.assert_ok(make_report())
 
     def test_rejects_unknown_version(self):
-        doc = make_report(1)
-        doc["schema_version"] = 5
-        self.assert_fails(doc, "schema_version")
+        for version in (1, 2, 3, 5):
+            doc = make_report()
+            doc["schema_version"] = version
+            self.assert_fails(doc, "schema_version")
 
     # --- the v4 profile section -----------------------------------------
 
     def test_profile_null_degraded_and_full_all_pass(self):
-        null = make_report(4)
-        degraded = make_report(4)
+        null = make_report()
+        degraded = make_report()
         degraded["profile"] = {"available": False,
                                "reason": "profiler not started"}
-        full = make_report(4)
+        full = make_report()
         full["profile"] = full_profile()
         self.assert_ok(null, degraded, full)
 
     def test_profile_missing_section_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         del doc["profile"]
         self.assert_fails(doc, "profile section is missing")
 
     def test_profile_degraded_without_reason_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         doc["profile"] = {"available": False}
         self.assert_fails(doc, "profile.reason")
 
     def test_profile_bad_phase_samples_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         doc["profile"] = full_profile()
         doc["profile"]["phases"][0]["samples"] = 0
         self.assert_fails(doc, "profile.phases[0].samples")
 
     def test_profile_too_many_top_stacks_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         doc["profile"] = full_profile()
         doc["profile"]["top_stacks"] = [
             {"stack": f"s{i}", "samples": 1} for i in range(21)]
@@ -178,35 +176,28 @@ class CheckReportSchemaTest(unittest.TestCase):
     # --- the v4 bandwidth section ---------------------------------------
 
     def test_bandwidth_null_degraded_and_full_all_pass(self):
-        degraded = make_report(4)
+        degraded = make_report()
         degraded["bandwidth"] = {"available": False, "reason": "no PMU"}
-        full = make_report(4)
+        full = make_report()
         full["bandwidth"] = full_bandwidth()
-        self.assert_ok(make_report(4), degraded, full)
+        self.assert_ok(make_report(), degraded, full)
 
     def test_bandwidth_missing_section_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         del doc["bandwidth"]
         self.assert_fails(doc, "bandwidth section is missing")
 
     def test_bandwidth_bad_verdict_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         doc["bandwidth"] = full_bandwidth()
         doc["bandwidth"]["phases"][0]["verdict"] = "cursed"
         self.assert_fails(doc, "verdict")
 
     def test_bandwidth_negative_est_gbps_fails(self):
-        doc = make_report(4)
+        doc = make_report()
         doc["bandwidth"] = full_bandwidth()
         doc["bandwidth"]["phases"][0]["est_gbps"] = -1.0
         self.assert_fails(doc, "est_gbps")
-
-    # --- v1-v3 documents must not be held to v4 ---------------------------
-
-    def test_old_versions_need_no_v4_sections(self):
-        # A v3 report has neither profile nor bandwidth; that is not an
-        # error — only v4+ documents owe the sections.
-        self.assert_ok(make_report(3), make_report(2), make_report(1))
 
     # --- bench records: the optional profile section ----------------------
 

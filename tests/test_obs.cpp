@@ -1,6 +1,6 @@
-// The observability layer: sharded counters under a real worker team,
-// nested phase paths, trace JSON well-formedness, the run report document,
-// and the compiled-out no-op contract.
+// The observability layer: counters under a real worker team, nested phase
+// paths (also across team regions), trace JSON well-formedness, run scopes,
+// the run report document, and the compiled-out no-op contract.
 //
 // This file must compile (and pass) under both LLPMST_OBS=1 and
 // LLPMST_OBS=0 — CI builds the disabled flavour to keep the no-op branch
@@ -25,11 +25,11 @@
 #include "obs/metrics.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/profiler.hpp"
+#include "obs/recorder.hpp"
 #include "obs/report.hpp"
-#include "obs/round_stats.hpp"
-#include "obs/sched_events.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/sim_executor.hpp"
 
 namespace llpmst {
 namespace {
@@ -187,6 +187,74 @@ TEST(ObsPhaseTimer, DisabledAtRuntimeRecordsNothing) {
             nullptr);
 }
 
+/// Submits one team region under PhaseTimer("outer") whose every worker
+/// opens PhaseTimer("inner"), and returns the phases recorded.
+std::vector<obs::PhaseSample> inner_phase_on_every_worker(Executor& exec) {
+  obs::reset_metrics();
+  obs::set_enabled(true);
+  {
+    obs::PhaseTimer outer("outer");
+    exec.run_team([](std::size_t) { obs::PhaseTimer inner("inner"); });
+  }
+  obs::set_enabled(false);
+  return obs::snapshot_phases();
+}
+
+TEST(ObsPhaseTimer, TeamWorkersNestUnderTheSubmittersPhaseOnAPool) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  ThreadPool pool(4);
+  const auto phases = inner_phase_on_every_worker(pool);
+  const obs::PhaseSample* inner = find_phase(phases, "outer/inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, 4u);
+  EXPECT_EQ(find_phase(phases, "inner"), nullptr)
+      << "a worker's phase lost the submitter's path";
+}
+
+TEST(ObsPhaseTimer, TeamWorkersNestUnderTheSubmittersPhaseUnderSim) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  sim::SimExecutor::Options options;
+  options.seed = 11;
+  options.workers = 4;
+  sim::SimExecutor exec(options);
+  const auto phases = inner_phase_on_every_worker(exec);
+  const obs::PhaseSample* inner = find_phase(phases, "outer/inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, 4u);
+  EXPECT_EQ(find_phase(phases, "inner"), nullptr);
+}
+
+TEST(ObsRunScope, ViewsReadOneScopeAndAClosedScopeLeavesNothing) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::reset_metrics();
+  obs::clear_warnings();
+  obs::set_enabled(true);
+  { obs::PhaseTimer t("outside"); }
+  {
+    obs::RunScope scope;
+    EXPECT_TRUE(obs::snapshot_phases().empty());
+    ThreadPool pool(2);
+    pool.run_team([](std::size_t) { obs::PhaseTimer t("inside"); });
+    obs::counter("test/scoped").add(3);
+    obs::add_warning("scoped warning");
+    const auto phases = obs::snapshot_phases();
+    ASSERT_EQ(phases.size(), 1u);
+    EXPECT_EQ(phases[0].name, "inside");
+    EXPECT_EQ(phases[0].count, 2u);
+    EXPECT_EQ(find_counter(obs::snapshot_scope_metrics(), "test/scoped"), 3u);
+    EXPECT_EQ(obs::snapshot_warnings().size(), 1u);
+  }
+  obs::set_enabled(false);
+  // Back in the default scope: only what it recorded itself.
+  const auto phases = obs::snapshot_phases();
+  EXPECT_NE(find_phase(phases, "outside"), nullptr);
+  EXPECT_EQ(find_phase(phases, "inside"), nullptr);
+  EXPECT_TRUE(obs::snapshot_warnings().empty());
+  EXPECT_EQ(find_counter(obs::snapshot_scope_metrics(), "test/scoped"), 0u);
+  // The process-wide value still counts every scope.
+  EXPECT_EQ(find_counter(obs::snapshot_metrics(), "test/scoped"), 3u);
+}
+
 TEST(ObsTrace, JsonIsWellFormedAndRoundTrips) {
   obs::reset_metrics();
   obs::set_enabled(true);
@@ -217,7 +285,7 @@ TEST(ObsTrace, JsonIsWellFormedAndRoundTrips) {
 TEST(ObsTrace, StartClearsPreviousEvents) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::trace_start();
-  obs::trace_emit("stale", obs::now_us(), 1);
+  obs::trace_emit_counter("stale", obs::now_us(), 1);
   obs::trace_stop();
   obs::trace_start();
   obs::trace_stop();
@@ -415,7 +483,7 @@ TEST(ObsMemStats, AllocationCountersGrowWhenCompiledIn) {
 // --- The v3 report document. ------------------------------------------
 
 TEST(ObsReport, SchemaV4CarriesHwNullMemRoundsAndScheduler) {
-  obs::reset_rounds();
+  obs::reset_metrics();
   const std::string report =
       obs::build_run_report(test_run_info(), nullptr, nullptr);
   EXPECT_TRUE(json_balanced(report)) << report;
@@ -438,7 +506,7 @@ TEST(ObsReport, SchemaV4CarriesHwNullMemRoundsAndScheduler) {
 
 TEST(ObsReport, SchemaV3SerializesRecordedRounds) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
-  obs::reset_rounds();
+  obs::reset_metrics();
   obs::set_enabled(true);
   obs::RoundRecord r;
   r.label = "report_site";
@@ -457,7 +525,7 @@ TEST(ObsReport, SchemaV3SerializesRecordedRounds) {
       << report;
   EXPECT_NE(report.find("\"round\":7"), std::string::npos) << report;
   EXPECT_NE(report.find("\"imbalance\":1.5"), std::string::npos) << report;
-  obs::reset_rounds();
+  obs::reset_metrics();
 }
 
 // --- Scheduler event rings (schema v3 "scheduler" section). -----------
@@ -489,24 +557,30 @@ TEST(ObsSchedEvents, RecordsOnlyWhileCollecting) {
 
 TEST(ObsSchedEvents, DropOldestKeepsNewestAndCountsDrops) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  // The recorder's log is append-only: past the per-thread capacity it
+  // keeps the events it has and counts the rest as dropped.
   obs::sched_start();
   const std::uint64_t extra = 100;
-  const std::uint64_t total = obs::kSchedRingCapacity + extra;
+  const std::uint64_t total = obs::kMaxSchedEvents + extra;
   for (std::uint64_t i = 0; i < total; ++i) {
     obs::sched_record(obs::SchedEventKind::kTask, i, i);
   }
   obs::sched_stop();
   const obs::SchedSnapshot snap = obs::snapshot_sched_events();
-  EXPECT_EQ(snap.events.size(), obs::kSchedRingCapacity);
+  EXPECT_EQ(snap.events.size(), obs::kMaxSchedEvents);
   EXPECT_EQ(snap.dropped, extra);
-  // Drop-oldest: the survivors are exactly the newest capacity events.
   std::uint64_t min_ts = UINT64_MAX, max_ts = 0;
   for (const obs::SchedEvent& e : snap.events) {
     min_ts = std::min(min_ts, e.ts_us);
     max_ts = std::max(max_ts, e.ts_us);
   }
-  EXPECT_EQ(min_ts, extra);
-  EXPECT_EQ(max_ts, total - 1);
+  EXPECT_EQ(min_ts, 0u);
+  EXPECT_EQ(max_ts, obs::kMaxSchedEvents - 1);
+  // The report states the drop count.
+  const std::string report =
+      obs::build_run_report(test_run_info(), nullptr, nullptr);
+  EXPECT_NE(report.find("100 scheduler events dropped"), std::string::npos)
+      << report;
   obs::sched_start();  // leave no bulk buffered for later tests
   obs::sched_stop();
 }
@@ -586,7 +660,7 @@ TEST(ObsCriticalPath, PointOnlySnapshotCountsAsFullyUtilized) {
 
 TEST(ObsRounds, RecordSnapshotAndResetHonourTheEnabledGate) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
-  obs::reset_rounds();
+  obs::reset_metrics();
   obs::set_enabled(false);
   obs::RoundRecord gated;
   gated.label = "gated";
@@ -614,15 +688,13 @@ TEST(ObsRounds, RecordSnapshotAndResetHonourTheEnabledGate) {
   EXPECT_EQ(rounds[0].advances, 5u);
   EXPECT_DOUBLE_EQ(rounds[0].wall_ms, 1.25);
   EXPECT_DOUBLE_EQ(rounds[0].imbalance, 2.0);
-  EXPECT_EQ(obs::rounds_dropped(), 0u);
-  obs::reset_rounds();
+  obs::reset_metrics();
   EXPECT_TRUE(obs::snapshot_rounds().empty());
 }
 
 TEST(ObsRounds, EmptyLabelInheritsThePhasePath) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::reset_metrics();
-  obs::reset_rounds();
   obs::set_enabled(true);
   {
     obs::PhaseTimer t("round_site");
@@ -634,7 +706,7 @@ TEST(ObsRounds, EmptyLabelInheritsThePhasePath) {
   const std::vector<obs::RoundRecord> rounds = obs::snapshot_rounds();
   ASSERT_EQ(rounds.size(), 1u);
   EXPECT_EQ(rounds[0].label, "round_site");
-  obs::reset_rounds();
+  obs::reset_metrics();
 }
 
 // --- OpenMetrics exposition (--stats-out). ----------------------------
@@ -658,7 +730,6 @@ TEST(ObsExposition, RendersTerminatedDocumentInBothFlavours) {
 TEST(ObsExposition, CountersPhasesAndRoundsMapToFamilies) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
   obs::reset_metrics();
-  obs::reset_rounds();
   obs::clear_warnings();
   obs::set_enabled(true);
   obs::counter("expo/test_counter").add(7);
@@ -692,7 +763,6 @@ TEST(ObsExposition, CountersPhasesAndRoundsMapToFamilies) {
   EXPECT_NE(doc.find("llpmst_solver_round_seconds_total{site=\"expo_site\"}"),
             std::string::npos)
       << doc;
-  obs::reset_rounds();
   obs::reset_metrics();
 }
 

@@ -1,7 +1,8 @@
 // Tests for the serving layer (src/serve/): the JSON wire parser, the
 // snapshot catalog's refcount lifetime, and the query service's admission,
 // queueing, batching, deadline, cancellation, and fault-degradation
-// contracts.  Everything here drives QueryService directly (no sockets) —
+// contracts, and the per-query reports' isolation.  Everything here drives
+// QueryService directly (no sockets) —
 // the socket framing is exercised end to end by the CI service job through
 // tools/llpmstd_client.py.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/run_context.hpp"
 #include "graph/io/binary_csr.hpp"
 #include "graph/storage.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/catalog.hpp"
 #include "serve/json.hpp"
@@ -495,6 +497,124 @@ TEST(QueryService, ControlOpsRoundTrip) {
   EXPECT_TRUE(sink.parsed(2).find("data")->get_bool("ok", false));
   EXPECT_EQ(sink.parsed(3).get_string("status", ""), "ok");
   EXPECT_EQ(sink.parsed(4).get_string("status", ""), "error");  // gone
+}
+
+// ------------------------------------------------- Per-query reports --
+
+/// The labels of a report's rounds and the (name, count) of its phases.
+struct ReportRecords {
+  std::vector<std::string> round_labels;
+  std::vector<std::pair<std::string, double>> phases;
+};
+
+ReportRecords records_of(const Json& report) {
+  ReportRecords r;
+  for (const Json& round : report.find("rounds")->as_array()) {
+    r.round_labels.push_back(round.get_string("label", ""));
+  }
+  for (const Json& phase : report.find("phases")->as_array()) {
+    r.phases.emplace_back(phase.get_string("name", ""),
+                          phase.get_number("count", 0));
+  }
+  return r;
+}
+
+/// Turns phase/round recording on for one test (llpmstd always runs so).
+struct ObsOn {
+  ObsOn() { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(false); }
+};
+
+TEST(QueryService, SequentialQueriesReportOnlyThemselves) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const ObsOn obs_on;
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.load("road", "road:32", 1).ok());
+  ServiceOptions options;
+  options.start_workers = false;
+  QueryService service(catalog, options);
+  Sink sink;
+  for (int i = 0; i < 3; ++i) {
+    service.handle(R"({"op":"query","graph":"road","algo":"llp-boruvka"})",
+                   0, sink.fn());
+    ASSERT_EQ(service.drain_one(), 1u);
+  }
+  ASSERT_EQ(sink.count(), 3u);
+  const ReportRecords first = records_of(sink.parsed(0));
+  ASSERT_FALSE(first.round_labels.empty());
+  ASSERT_FALSE(first.phases.empty());
+  for (std::size_t i = 1; i < 3; ++i) {
+    const ReportRecords later = records_of(sink.parsed(i));
+    EXPECT_EQ(later.round_labels.size(), first.round_labels.size()) << i;
+    EXPECT_EQ(later.phases, first.phases) << "report " << i
+                                          << " is cumulative";
+  }
+  service.shutdown();
+}
+
+TEST(QueryService, ConcurrentQueriesReportDisjointRecords) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const ObsOn obs_on;
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.load("road", "road:64", 1).ok());
+  ASSERT_TRUE(catalog.load("web", "rmat:11", 1).ok());
+  ServiceOptions options;
+  options.workers = 2;
+  options.threads_per_query = 2;  // team workers record for the query too
+  QueryService service(catalog, options);
+  Sink boruvka, prim;
+  // The pause lets both workers claim their query before either solves.
+  service.handle(
+      R"({"op":"query","graph":"road","algo":"llp-boruvka","pause_ms":30})",
+      0, boruvka.fn());
+  service.handle(
+      R"({"op":"query","graph":"web","algo":"llp-prim-parallel","pause_ms":30})",
+      0, prim.fn());
+  ASSERT_TRUE(boruvka.wait_for(1));
+  ASSERT_TRUE(prim.wait_for(1));
+  const auto check = [](const Json& report, const std::string& own,
+                        const std::string& other) {
+    EXPECT_EQ(request_status(report), "ok");
+    const ReportRecords r = records_of(report);
+    EXPECT_FALSE(r.round_labels.empty()) << own;
+    for (const std::string& label : r.round_labels) {
+      EXPECT_EQ(label, own);
+    }
+    bool saw_own = false;
+    for (const auto& [name, count] : r.phases) {
+      EXPECT_EQ(name.find(other), std::string::npos) << name;
+      saw_own = saw_own || name.find(own) != std::string::npos;
+    }
+    EXPECT_TRUE(saw_own) << own;
+  };
+  check(boruvka.parsed(0), "llp_boruvka", "llp_prim_parallel");
+  check(prim.parsed(0), "llp_prim_parallel", "llp_boruvka");
+  service.shutdown();
+}
+
+TEST(QueryService, QueryAfterARoundHeavyQueryCarriesNoRounds) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const ObsOn obs_on;
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.load("road", "road:32", 1).ok());
+  ASSERT_TRUE(catalog.load("web", "rmat:12", 1).ok());
+  ServiceOptions options;
+  options.start_workers = false;
+  QueryService service(catalog, options);
+  Sink sink;
+  service.handle(R"({"op":"query","graph":"web","algo":"llp-prim-parallel"})",
+                 0, sink.fn());
+  ASSERT_EQ(service.drain_one(), 1u);
+  service.handle(R"({"op":"query","graph":"road","algo":"kruskal"})", 0,
+                 sink.fn());
+  ASSERT_EQ(service.drain_one(), 1u);
+  ASSERT_EQ(sink.count(), 2u);
+  EXPECT_FALSE(sink.parsed(0).find("rounds")->as_array().empty());
+  const Json road = sink.parsed(1);
+  EXPECT_EQ(request_status(road), "ok");
+  EXPECT_TRUE(road.find("rounds")->as_array().empty());
+  EXPECT_TRUE(road.find("warnings")->as_array().empty());
+  service.shutdown();
 }
 
 }  // namespace

@@ -5,16 +5,17 @@
 
 Understands three document kinds, dispatched on the "schema" field:
 
-  * llpmst-run-report (schema_version 1 through 4) — the --metrics-json
-    run report.  Version 2 adds the "hw" (hardware counters, null-safe)
-    and "mem" (peak RSS + allocation stats) sections; version 3 adds the
-    "rounds" array (per-round solver telemetry) and the "scheduler"
-    section (utilization / steal / critical-path summary, null when no
-    scheduler events were collected); version 4 adds the "profile"
-    section (sampling-profiler phase/stack histograms, null when not
-    armed) and the "bandwidth" section (DRAM-bandwidth phase estimates
-    derived from hw cache-miss deltas, null when hw was not requested).
-    Both v4 sections follow the hw degradation contract: an
+  * llpmst-run-report (schema_version 4, the only current version) — the
+    --metrics-json run report: run metadata, "algo", the "hw" (hardware
+    counters, null-safe) and "mem" (peak RSS + allocation stats)
+    sections, counters/gauges/phases, the "rounds" array (per-round
+    solver telemetry), the "scheduler" section (utilization / steal /
+    critical-path summary, null when no scheduler events were
+    collected), the "profile" section (sampling-profiler phase/stack
+    histograms, null when not armed), the "bandwidth" section
+    (DRAM-bandwidth phase estimates derived from hw cache-miss deltas,
+    null when hw was not requested) and warnings.  profile and
+    bandwidth follow the hw degradation contract: an
     {"available": false, "reason": ...} object when the facility could
     not run.
   * llpmst-bench (schema_version 1) — one structured datapoint per
@@ -143,7 +144,7 @@ def check_mem(mem, expect, bench_record=False):
 
 
 def check_rounds(rounds, expect):
-    """Validates the v3 "rounds" array: always present, possibly empty."""
+    """Validates the "rounds" array: always present, possibly empty."""
     if not expect(isinstance(rounds, list), "rounds is not an array"):
         return
     for i, r in enumerate(rounds):
@@ -162,7 +163,7 @@ def check_rounds(rounds, expect):
 
 
 def check_scheduler(sched, expect):
-    """Validates the v3 "scheduler" section: null (no events) or a summary
+    """Validates the "scheduler" section: null (no events) or a summary
     object whose ratios sit in [0, 1] and counts are non-negative ints."""
     if sched == "<missing>":
         expect(False, "scheduler section is missing (must be null or an "
@@ -209,7 +210,7 @@ def check_scheduler(sched, expect):
 
 
 def check_profile(profile, expect):
-    """Validates the v4 "profile" section: null (profiler not armed), an
+    """Validates the "profile" section: null (profiler not armed), an
     {"available": false, "reason"} degradation object, or the full
     phase/stack sample histograms."""
     if profile == "<missing>":
@@ -266,7 +267,7 @@ BANDWIDTH_VERDICTS = {"unknown", "compute-bound", "memory-bound"}
 
 
 def check_bandwidth(bw, expect):
-    """Validates the v4 "bandwidth" section: null (hw not requested), an
+    """Validates the "bandwidth" section: null (hw not requested), an
     {"available": false, "reason"} degradation object, or per-phase DRAM
     traffic estimates with roofline-style verdicts."""
     if bw == "<missing>":
@@ -394,8 +395,8 @@ def check_serve_response(doc, errors, where):
 def check_run_report(doc, errors, where):
     expect = make_expect(errors, where)
     version = doc.get("schema_version")
-    if not expect(version in (1, 2, 3, 4),
-                  f"schema_version is {version!r} (expected 1 through 4)"):
+    if not expect(version == 4,
+                  f"schema_version is {version!r} (expected 4)"):
         return
 
     run = doc.get("run")
@@ -431,18 +432,13 @@ def check_run_report(doc, errors, where):
                    f"algo.llp.outcome {algo['llp'].get('outcome')!r} not a "
                    "run outcome")
 
-    if version >= 2:
-        check_hw(doc.get("hw"), expect)
-        if expect("mem" in doc, "mem section is missing"):
-            check_mem(doc.get("mem"), expect)
-
-    if version >= 3:
-        check_rounds(doc.get("rounds"), expect)
-        check_scheduler(doc.get("scheduler", "<missing>"), expect)
-
-    if version >= 4:
-        check_profile(doc.get("profile", "<missing>"), expect)
-        check_bandwidth(doc.get("bandwidth", "<missing>"), expect)
+    check_hw(doc.get("hw"), expect)
+    if expect("mem" in doc, "mem section is missing"):
+        check_mem(doc.get("mem"), expect)
+    check_rounds(doc.get("rounds"), expect)
+    check_scheduler(doc.get("scheduler", "<missing>"), expect)
+    check_profile(doc.get("profile", "<missing>"), expect)
+    check_bandwidth(doc.get("bandwidth", "<missing>"), expect)
 
     for section in ("counters", "gauges"):
         values = doc.get(section)

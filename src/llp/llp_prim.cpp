@@ -48,50 +48,47 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
     // within R is irrelevant (the LLP property) — we pop LIFO.  Each drain
     // is one worklist sweep in the Algorithm 1 sense.
     if (!bag_r.empty()) ++r.stats.llp_sweeps;
-    {
-      obs::PhaseTimer relax_span("relax");
-      while (!bag_r.empty() && num_fixed < n) {
-        if (cancelled_at_stride(cancel, drained++)) {
-          r.stats.outcome = cancel->reason();
-          break;
+    while (!bag_r.empty() && num_fixed < n) {
+      if (cancelled_at_stride(cancel, drained++)) {
+        r.stats.outcome = cancel->reason();
+        break;
+      }
+      const VertexId j = bag_r.back();
+      bag_r.pop_back();
+
+      const auto nbrs = g.neighbors(j);
+      const auto prios = g.arc_priorities(j);
+      const auto mwe_flags = g.arc_mwe_flags(j);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        const VertexId k = nbrs[i];
+        if (fixed[k]) continue;
+        ++r.stats.edges_relaxed;
+        const EdgePriority p = prios[i];
+
+        // Early fixing: (j, k) is the MWE of j or of k -> it is an MST edge
+        // and j is fixed, so k's parent is j (see Section V-A).  The flag is
+        // precomputed per arc so this is a sequential-stream read.
+        if (options.mwe_fixing && mwe_flags[i]) {
+          fixed[k] = 1;
+          ++num_fixed;
+          ++r.stats.fixed_via_mwe;
+          // k's heap entry, if any, is dead: erase it, so the heap holds
+          // only unfixed vertices.
+          if (heap.contains(k)) heap.erase(k);
+          r.edges.push_back(priority_edge(p));
+          bag_r.push_back(k);
+          continue;
         }
-        const VertexId j = bag_r.back();
-        bag_r.pop_back();
 
-        const auto nbrs = g.neighbors(j);
-        const auto prios = g.arc_priorities(j);
-        const auto mwe_flags = g.arc_mwe_flags(j);
-        for (std::size_t i = 0; i < nbrs.size(); ++i) {
-          const VertexId k = nbrs[i];
-          if (fixed[k]) continue;
-          ++r.stats.edges_relaxed;
-          const EdgePriority p = prios[i];
-
-          // Early fixing: (j, k) is the MWE of j or of k -> it is an MST edge
-          // and j is fixed, so k's parent is j (see Section V-A).  The flag is
-          // precomputed per arc so this is a sequential-stream read.
-          if (options.mwe_fixing && mwe_flags[i]) {
-            fixed[k] = 1;
-            ++num_fixed;
-            ++r.stats.fixed_via_mwe;
-            // k's heap entry, if any, is dead: erase it, so the heap holds
-            // only unfixed vertices.
-            if (heap.contains(k)) heap.erase(k);
-            r.edges.push_back(priority_edge(p));
-            bag_r.push_back(k);
-            continue;
-          }
-
-          if (p < dist[k]) {
-            dist[k] = p;
-            if (options.q_staging) {
-              if (!in_q[k]) {
-                in_q[k] = 1;
-                q.push_back(k);
-              }
-            } else {
-              heap.insert_or_adjust(k, p);
+        if (p < dist[k]) {
+          dist[k] = p;
+          if (options.q_staging) {
+            if (!in_q[k]) {
+              in_q[k] = 1;
+              q.push_back(k);
             }
+          } else {
+            heap.insert_or_adjust(k, p);
           }
         }
       }
@@ -102,23 +99,19 @@ MstResult llp_prim(const CsrGraph& g, VertexId root,
 
     // R drained: flush the staged heap updates.  Vertices fixed for free in
     // the meantime never touch the heap — that is the optimization.
-    {
-      obs::PhaseTimer flush_span("heap_flush");
-      for (const VertexId k : q) {
-        in_q[k] = 0;
-        if (!fixed[k]) {
-          heap.insert_or_adjust(k, dist[k]);
-          ++r.stats.staged_in_q;
-        }
+    for (const VertexId k : q) {
+      in_q[k] = 0;
+      if (!fixed[k]) {
+        heap.insert_or_adjust(k, dist[k]);
+        ++r.stats.staged_in_q;
       }
-      q.clear();
     }
+    q.clear();
 
     // Fall back to the heap for the next nearest non-fixed vertex.  Every
     // entry is unfixed (R erased the others), so every pop fixes a vertex
     // and the popped key carries its parent edge.
     VertexId next = 0;
-    obs::PhaseTimer pop_span("heap_pop");
     if (!heap.empty()) {
       const auto [j, key] = heap.pop();
       LLPMST_ASSERT(!fixed[j]);

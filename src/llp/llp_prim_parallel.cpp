@@ -1,6 +1,9 @@
 #include "llp/llp_prim_parallel.hpp"
 
+#include <array>
 #include <atomic>
+#include <bit>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -44,9 +47,23 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
   ConcurrentBag<VertexId> bag_r(workers);  // newly fixed, to explore next
   ConcurrentBag<VertexId> bag_q(workers);  // staged heap candidates
   std::vector<VertexId> frontier;
+  std::vector<VertexId> staged;  // bag_q drained for one heap flush
   BinaryHeap<EdgePriority> heap(n);
 
-  std::atomic<std::uint64_t> fixed_via_mwe{0};
+  // Whether a frontier is worth a team dispatch, learned from this run's
+  // own measured super-steps.  Most road frontiers hold one or two
+  // vertices: those are drained on this thread, unmeasured.
+  GrainFeedback step_grain;
+  // The per-run summary: super-steps by log2 frontier size, recorded as one
+  // round per non-empty class when the run ends.
+  struct StepClass {
+    std::uint64_t steps = 0;
+    std::uint64_t fixed = 0;       // vertices the class's steps fixed
+    std::uint64_t dispatched = 0;  // steps the team ran
+    std::uint64_t dispatched_ns = 0;
+  };
+  std::array<StepClass, std::numeric_limits<VertexId>::digits> classes{};
+
   std::atomic<std::uint64_t> edges_relaxed{0};
   std::size_t num_fixed = 1;
   std::size_t next_root = 0;  // forest-restart scan cursor
@@ -55,10 +72,42 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
   ++r.stats.fixed_via_heap;
   frontier.push_back(root);
 
-  // Small frontiers get small chunks so the team actually shares the work.
-  const auto frontier_chunk = [&](std::size_t size) {
-    const std::size_t per = size / (4 * workers);
-    return per < 1 ? std::size_t{1} : (per > 256 ? std::size_t{256} : per);
+  // One super-step's work on frontier[idx]: explore its arcs, early-fixing
+  // across MWEs (claim CAS) and lowering tentative distances (fetch-min).
+  const auto relax = [&](std::size_t idx, std::size_t w) {
+    const VertexId j = frontier[idx];
+    const auto nbrs = g.neighbors(j);
+    const auto prios = g.arc_priorities(j);
+    const auto mwe_flags = g.arc_mwe_flags(j);
+    std::uint64_t relaxed = 0;
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const VertexId k = nbrs[i];
+      if (fixed[k].load(std::memory_order_relaxed)) continue;
+      ++relaxed;
+      const EdgePriority p = prios[i];
+
+      if (mwe_flags[i]) {
+        // Early fix: (j, k) is an MST edge and j is fixed.  The CAS claim
+        // arbitrates racing fixers; the winner records the tree edge and
+        // schedules k.
+        if (atomic_claim(fixed[k])) {
+          chosen_edge[k] = priority_edge(p);
+          bag_r.push(w, k);
+        }
+        continue;
+      }
+
+      // fetch-min on the packed word updates distance AND parent
+      // atomically; stage k for the deferred heap flush.  Staging may push
+      // k from several workers — the flush deduplicates via
+      // insert_or_adjust, which is idempotent.
+      if (atomic_fetch_min(dist[k], p)) {
+        bag_q.push(w, k);
+      }
+    }
+    if (relaxed != 0) {
+      edges_relaxed.fetch_add(relaxed, std::memory_order_relaxed);
+    }
   };
 
   for (;;) {
@@ -73,75 +122,39 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
       break;
     }
 
-    // --- Parallel drain of R.  Every frontier vertex is already fixed; the
-    // team explores their arcs, early-fixing across MWEs (claim CAS) and
-    // lowering tentative distances (fetch-min).  Each batch is one worklist
-    // sweep in the Algorithm 1 sense (counted in stats.llp_sweeps).
+    // --- Drain R.  Every frontier vertex is already fixed.  Each batch is
+    // one worklist sweep in the Algorithm 1 sense (stats.llp_sweeps): the
+    // team runs it when step_grain predicts the dispatch pays, this thread
+    // otherwise.
     while (!frontier.empty() && num_fixed < n) {
       if (cancel != nullptr && cancel->cancelled()) break;  // rechecked above
-      obs::PhaseTimer relax_span("relax");
+      const std::size_t size = frontier.size();
+      StepClass& cls = classes[std::bit_width(size) - 1];
+      ++cls.steps;
       ++r.stats.llp_sweeps;
-      const bool rounds_on = obs::kCompiledIn && obs::enabled();
-      const std::uint64_t step_t0 = rounds_on ? obs::now_us() : 0;
-      const std::size_t frontier_in = frontier.size();
-      parallel_for_worker(
-          pool, 0, frontier.size(),
-          [&](std::size_t idx, std::size_t w) {
-            const VertexId j = frontier[idx];
-            const auto nbrs = g.neighbors(j);
-            const auto prios = g.arc_priorities(j);
-            const auto mwe_flags = g.arc_mwe_flags(j);
-            std::uint64_t relaxed = 0;
-            for (std::size_t i = 0; i < nbrs.size(); ++i) {
-              const VertexId k = nbrs[i];
-              if (fixed[k].load(std::memory_order_relaxed)) continue;
-              ++relaxed;
-              const EdgePriority p = prios[i];
-
-              if (mwe_flags[i]) {
-                // Early fix: (j, k) is an MST edge and j is fixed.  The CAS
-                // claim arbitrates racing fixers; the winner records the
-                // tree edge and schedules k.
-                if (atomic_claim(fixed[k])) {
-                  chosen_edge[k] = priority_edge(p);
-                  fixed_via_mwe.fetch_add(1, std::memory_order_relaxed);
-                  bag_r.push(w, k);
-                }
-                continue;
-              }
-
-              // fetch-min on the packed word updates distance AND parent
-              // atomically; stage k for the deferred heap flush.  Staging
-              // may push k from several workers — the flush deduplicates
-              // via insert_or_adjust, which is idempotent.
-              if (atomic_fetch_min(dist[k], p)) {
-                bag_q.push(w, k);
-              }
-            }
-            if (relaxed != 0) {
-              edges_relaxed.fetch_add(relaxed, std::memory_order_relaxed);
-            }
-          },
-          frontier_chunk(frontier.size()));
+      AdaptiveRun run;
+      if (step_grain.prefers_serial(size)) {
+        for (std::size_t idx = 0; idx < size; ++idx) relax(idx, 0);
+      } else {
+        run = parallel_for_adaptive(pool, 0, size, step_grain, relax);
+      }
+      if (run.dispatched) {
+        ++cls.dispatched;
+        cls.dispatched_ns += run.elapsed_ns;
+        ++r.stats.llp_dispatched_sweeps;
+      } else {
+        ++r.stats.llp_inline_sweeps;
+      }
 
       frontier.clear();
       bag_r.drain_into(frontier);
       num_fixed += frontier.size();
+      cls.fixed += frontier.size();
       // The heap must hold only unfixed vertices: erase the entries of the
       // vertices this super-step fixed (sequential, like every heap op).
       for (const VertexId k : frontier) {
         r.edges.push_back(chosen_edge[k]);
         if (heap.contains(k)) heap.erase(k);
-      }
-      if (rounds_on) {
-        obs::RoundRecord round;
-        round.label = "llp_prim_parallel";
-        round.round = r.stats.llp_sweeps;
-        round.components = n - num_fixed;  // unfixed vertices remaining
-        round.edges = frontier_in;         // frontier entering the super-step
-        round.advances = frontier.size();  // vertices newly fixed via MWE
-        round.wall_ms = static_cast<double>(obs::now_us() - step_t0) * 1e-3;
-        obs::record_round(round);
       }
     }
 
@@ -156,22 +169,18 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
       r.stats.outcome = RunOutcome::kInjectedFault;
       break;
     }
-    {
-      obs::PhaseTimer flush_span("heap_flush");
-      std::vector<VertexId> staged;
-      bag_q.drain_into(staged);
-      for (const VertexId k : staged) {
-        if (fixed[k].load(std::memory_order_relaxed)) continue;
-        heap.insert_or_adjust(k, dist[k].load(std::memory_order_relaxed));
-        ++r.stats.staged_in_q;
-      }
+    staged.clear();
+    bag_q.drain_into(staged);
+    for (const VertexId k : staged) {
+      if (fixed[k].load(std::memory_order_relaxed)) continue;
+      heap.insert_or_adjust(k, dist[k].load(std::memory_order_relaxed));
+      ++r.stats.staged_in_q;
     }
 
     // Every heap entry is unfixed, so a pop fixes a vertex whose key
     // carries its parent edge.  An empty heap means this component is
     // spanned: the next tree starts at the next unfixed vertex, its root.
     VertexId next = 0;
-    obs::PhaseTimer pop_span("heap_pop");
     if (!heap.empty()) {
       const auto [j, key] = heap.pop();
       LLPMST_ASSERT(!fixed[j].load(std::memory_order_relaxed));
@@ -187,10 +196,24 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
     frontier.push_back(next);
   }
 
+  for (std::size_t k = 0; k < classes.size(); ++k) {
+    const StepClass& cls = classes[k];
+    if (cls.steps == 0) continue;
+    // Every vertex R fixed was claimed across an MWE.
+    r.stats.fixed_via_mwe += cls.fixed;
+    obs::RoundRecord round;
+    round.label = "llp_prim_parallel";
+    round.round = k;
+    round.edges = cls.steps;
+    round.advances = cls.fixed;
+    round.components = cls.dispatched;
+    round.wall_ms = static_cast<double>(cls.dispatched_ns) * 1e-6;
+    obs::record_round(round);
+  }
+
   // On a clean run all vertices are fixed; an aborted run (cancellation /
   // injected fault) legitimately leaves some unfixed.
   LLPMST_ASSERT(r.stats.outcome != RunOutcome::kOk || num_fixed == n);
-  r.stats.fixed_via_mwe = fixed_via_mwe.load(std::memory_order_relaxed);
   r.stats.edges_relaxed = edges_relaxed.load(std::memory_order_relaxed);
   r.stats.heap = heap.stats();
   record_algo_metrics("llp_prim_parallel", r.stats);
@@ -200,7 +223,8 @@ MstResult llp_prim_parallel(const CsrGraph& g, RunContext& ctx,
 
 MstAlgorithm llp_prim_parallel_algorithm() {
   return {"llp-prim-parallel", "LLP-Prim",
-          "early-fixing Prim, R drained by the team per super-step",
+          "early-fixing Prim, R drained by the team when a super-step pays "
+          "for it",
           {.parallel = true},
           [](const CsrGraph& g, RunContext& ctx) {
             return llp_prim_parallel(g, ctx);

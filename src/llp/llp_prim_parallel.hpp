@@ -2,8 +2,13 @@
 // algorithm with the R set drained by the whole thread team.
 //
 // Parallel structure per super-step:
-//   * the current frontier (a snapshot of R) is processed in parallel;
-//     fixing a vertex is a CAS claim on its fixed flag; tentative distances
+//   * the current frontier (a snapshot of R) is processed by one body,
+//     either on the calling thread or by the team: a run-local
+//     GrainFeedback (parallel_for.hpp) predicts from the run's own measured
+//     steps whether a dispatch pays.  Most road frontiers hold one or two
+//     vertices and stay on the caller, unmeasured — the paper notes R is
+//     small on road graphs (Section V);
+//   * fixing a vertex is a CAS claim on its fixed flag; tentative distances
 //     are atomic fetch-mins on the packed (priority) word, whose low half
 //     *is* the parent edge id — one word carries both `d` and `parent`;
 //   * newly fixed vertices go into per-worker bag buffers (no contention);
@@ -15,6 +20,10 @@
 //   * when the heap drains with vertices left (a disconnected graph), the
 //     next tree starts at the next unfixed vertex, as in sequential
 //     LLP-Prim's forest mode.
+//
+// Observability is per run: one algorithm span, plain counters (inline and
+// dispatched super-steps in MstAlgoStats), and at the end one round record
+// per non-empty log2 frontier-size class.
 //
 // The result is the same unique minimum spanning forest for every thread
 // count.

@@ -30,14 +30,17 @@ MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
   const std::span<const WeightedEdge> edges = g.edges();
   const std::size_t m = edges.size();
 
-  // An already-triggered token (an expired budget before the fallback)
-  // costs O(1): nothing is allocated or scanned, and the empty forest has
-  // one tree per vertex.
-  if (cancel != nullptr && cancel->cancelled()) {
+  // A run stopped before the scan returns the empty forest: one tree per
+  // vertex.  An already-triggered token (an expired budget before the
+  // fallback) costs O(1): nothing is allocated or scanned.
+  const auto stopped = [n](RunOutcome why) {
     MstResult r;
-    r.stats.outcome = cancel->reason();
+    r.stats.outcome = why;
     r.num_trees = n;
     return r;
+  };
+  if (cancel != nullptr && cancel->cancelled()) {
+    return stopped(cancel->reason());
   }
 
   // Sort packed priorities == (weight, id) lexicographic.  `any & ~all`
@@ -48,11 +51,22 @@ MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
     order.resize(m);
     Weight any = 0;
     Weight all = ~Weight{0};
-    for (std::size_t e = 0; e < m; ++e) {
-      const Weight w = edges[e].w;
-      order[e] = make_priority(w, static_cast<EdgeId>(e));
-      any |= w;
-      all &= w;
+    // The fill polls (and passes the "kruskal/fill" failpoint) once per
+    // kScanStride keys, so a budget can stop it before the first sort pass.
+    for (std::size_t lo = 0; lo < m; lo += kScanStride) {
+      if (LLPMST_FAILPOINT("kruskal/fill") != fail::Action::kNone) {
+        return stopped(RunOutcome::kInjectedFault);
+      }
+      if (cancel != nullptr && cancel->cancelled()) {
+        return stopped(cancel->reason());
+      }
+      const std::size_t hi = lo + kScanStride < m ? lo + kScanStride : m;
+      for (std::size_t e = lo; e < hi; ++e) {
+        const Weight w = edges[e].w;
+        order[e] = make_priority(w, static_cast<EdgeId>(e));
+        any |= w;
+        all &= w;
+      }
     }
     // Stable LSD passes over the weight half only: the keys arrive in id
     // order, so stability leaves them in full (weight, id) order.  The token

@@ -14,12 +14,13 @@ class CancelToken;
 class RunContext;
 
 [[nodiscard]] MstResult kruskal(const CsrGraph& g);
-/// Kruskal with a cooperative cancellation checkpoint before each radix
-/// pass, and one (plus the "kruskal/scan" failpoint) every 1024 scanned
-/// edges.  A cancelled run returns the partial forest built so far with the
-/// token's reason in stats.outcome — this is the path mst::auto's
-/// sequential fallback runs on, so even the fallback honours deadlines and
-/// user cancels.
+/// Kruskal with cooperative cancellation checkpoints: one (plus the
+/// "kruskal/fill" failpoint) every 1024 keys of the key fill, one before
+/// each radix pass, and one (plus the "kruskal/scan" failpoint) every 1024
+/// scanned edges.  A cancelled run returns the partial forest built so far
+/// (empty before the scan) with the token's reason in stats.outcome — this
+/// is the path mst::auto's sequential fallback runs on, so even the
+/// fallback honours deadlines and user cancels.
 [[nodiscard]] MstResult kruskal_cancellable(const CsrGraph& g,
                                             const CancelToken* cancel);
 /// Uniform registry entry point: polls ctx.cancel_token().

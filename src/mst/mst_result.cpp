@@ -68,6 +68,8 @@ void record_algo_metrics(const char* algo, const MstAlgoStats& s) {
   add("rounds", s.rounds);
   add("pointer_jumps", s.pointer_jumps);
   add("sweeps", s.llp_sweeps);
+  add("sweeps_inline", s.llp_inline_sweeps);
+  add("sweeps_dispatched", s.llp_dispatched_sweeps);
   add("advances", s.llp_advances);
   switch (s.outcome) {
     case RunOutcome::kOk:

@@ -27,6 +27,8 @@ struct MstAlgoStats {
   std::uint64_t rounds = 0;           // Boruvka rounds / LLP iterations
   std::uint64_t pointer_jumps = 0;    // advance() steps in pointer jumping
   std::uint64_t llp_sweeps = 0;       // worklist/frontier sweeps (LLP family)
+  std::uint64_t llp_inline_sweeps = 0;      // sweeps the caller ran alone
+  std::uint64_t llp_dispatched_sweeps = 0;  // sweeps a thread team ran
   std::uint64_t llp_advances = 0;     // advance() calls, when llp_solve ran
   /// Per-run verdict: anything other than kOk means the result is PARTIAL —
   /// the edge set covers only the work completed before the run stopped

@@ -16,7 +16,7 @@
 //
 // Naming convention: `<subsystem>/<event>` with '/' separators, e.g.
 // "llp_prim_parallel/mwe_early_fix", "boruvka/rounds".  Phase paths nest the
-// same way ("llp_prim_parallel/heap_flush").
+// same way ("kruskal/sort").
 #pragma once
 
 #ifndef LLPMST_OBS
@@ -45,7 +45,7 @@ struct MetricSample {
 };
 
 /// One aggregated phase, as returned by snapshot_phases().  `name` is the
-/// full nested path ("llp_prim_parallel/heap_flush").
+/// full nested path ("kruskal/sort").
 struct PhaseSample {
   std::string name;
   std::uint64_t count = 0;     // completed PhaseTimer scopes

@@ -1,8 +1,8 @@
 // RAII nested phase timing.
 //
 //   {
-//     obs::PhaseTimer t("llp_prim_parallel");
-//     { obs::PhaseTimer f("heap_flush"); flush(); }   // -> "llp_prim_parallel/heap_flush"
+//     obs::PhaseTimer t("kruskal");
+//     { obs::PhaseTimer s("sort"); sort(); }   // -> "kruskal/sort"
 //   }
 //
 // The recorded name is the '/'-joined path of the PhaseTimers live on the

@@ -27,18 +27,21 @@
 
 namespace llpmst::obs {
 
-/// One round of an iterative solver: llp_solve sweeps, LLP-Prim
-/// super-steps and Boruvka contraction rounds each record one.  Sites fill
-/// what they can measure and leave the rest 0.
+/// One round of an iterative solver: llp_solve sweeps and Boruvka
+/// contraction rounds each record one.  LLP-Prim-parallel records one per
+/// run and log2 frontier-size class k instead (round = k, edges = its
+/// super-steps, advances = the vertices they fixed, components = the steps
+/// a team ran, wall_ms = those steps' time).  Sites fill what they can
+/// measure and leave the rest 0.
 struct RoundRecord {
   /// Recording site ("llp_boruvka", ...).  Left empty, the round is
   /// labelled with the recording thread's phase path, so generic code
   /// (llp_solve) inherits its caller's attribution.  In snapshot_rounds()
   /// output it views the interned name.
   std::string_view label;
-  std::uint64_t round = 0;       // 1-based round / sweep / super-step index
-  std::uint64_t components = 0;  // components (or unfixed vertices) remaining
-  std::uint64_t edges = 0;       // edges surviving / frontier size entering
+  std::uint64_t round = 0;       // 1-based round / sweep index
+  std::uint64_t components = 0;  // components remaining
+  std::uint64_t edges = 0;       // edges surviving
   std::uint64_t advances = 0;    // forbidden-state advances or edges emitted
   double wall_ms = 0.0;          // wall time of this round
   /// max/mean per-worker busy time in the round's dominant sweep;

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "obs/recorder.hpp"
 #include "parallel/executor.hpp"
@@ -129,31 +130,75 @@ void parallel_for(Executor& pool, std::size_t begin, std::size_t end,
   });
 }
 
+/// Dynamic parallel for whose body also receives the worker id — for loops
+/// that feed per-worker buffers (ConcurrentBag) while still load-balancing
+/// skewed per-element work (e.g. high-degree frontier vertices).
+template <typename Body>
+void parallel_for_worker(Executor& pool, std::size_t begin, std::size_t end,
+                         Body&& body,
+                         std::size_t chunk = detail::kDynamicChunk) {
+  if (begin >= end) return;
+  const std::size_t n = end - begin;
+  if (pool.num_threads() == 1 || n <= chunk) {
+    for (std::size_t i = begin; i < end; ++i) body(i, std::size_t{0});
+    return;
+  }
+  std::atomic<std::size_t> next{begin};
+  pool.run_team([&](std::size_t w) {
+    for (;;) {
+      simhook::preempt();
+      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (lo >= end) break;
+      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
+      for (std::size_t i = lo; i < hi; ++i) body(i, w);
+    }
+  });
+}
+
+/// What one parallel_for_adaptive call did.
+struct AdaptiveRun {
+  bool dispatched = false;       // a team ran the loop (else the caller did)
+  std::uint64_t elapsed_ns = 0;  // the loop time fed back to the feedback
+};
+
 /// Adaptive-grain dynamic parallel for: chunk size (and the serial-inline
 /// decision) come from `feedback`, which this call then updates with the
 /// measured cost.  Use one GrainFeedback per loop site; loops that repeat
 /// with similar per-element cost (Boruvka rounds) converge on a grain that
-/// amortizes scheduling without starving load balance.
+/// amortizes scheduling without starving load balance.  The body is
+/// body(i), or body(i, worker) for loops that feed per-worker buffers
+/// (ConcurrentBag); an inline run is worker 0.
 template <typename Body>
-void parallel_for_adaptive(Executor& pool, std::size_t begin,
-                           std::size_t end, GrainFeedback& feedback,
-                           Body&& body) {
-  if (begin >= end) return;
+AdaptiveRun parallel_for_adaptive(Executor& pool, std::size_t begin,
+                                  std::size_t end, GrainFeedback& feedback,
+                                  Body&& body) {
+  if (begin >= end) return {};
   const std::size_t n = end - begin;
-  const std::uint64_t t0 = detail::grain_clock_ns();
-  if (pool.num_threads() == 1 || feedback.prefers_serial(n)) {
-    if (obs::sched_collecting()) {
-      obs::sched_record(obs::SchedEventKind::kGrainSerial, obs::now_us(), n);
+  const std::size_t t = pool.num_threads();
+  const std::size_t g = feedback.grain(n, t);
+  // A team is worth waking only when every worker gets a chunk.
+  const bool team = t > 1 && n > (t - 1) * g && !feedback.prefers_serial(n);
+  const auto call = [&body](std::size_t i, std::size_t w) {
+    if constexpr (std::is_invocable_v<Body&, std::size_t, std::size_t>) {
+      body(i, w);
+    } else {
+      body(i);
     }
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  } else {
-    const std::size_t g = feedback.grain(n, pool.num_threads());
-    if (obs::sched_collecting()) {
-      obs::sched_record(obs::SchedEventKind::kGrain, obs::now_us(), g);
-    }
-    parallel_for(pool, begin, end, body, g);
+  };
+  if (obs::sched_collecting()) {
+    obs::sched_record(team ? obs::SchedEventKind::kGrain
+                           : obs::SchedEventKind::kGrainSerial,
+                      obs::now_us(), team ? g : n);
   }
-  feedback.update(n, static_cast<double>(detail::grain_clock_ns() - t0));
+  const std::uint64_t t0 = detail::grain_clock_ns();
+  if (team) {
+    parallel_for_worker(pool, begin, end, call, g);
+  } else {
+    for (std::size_t i = begin; i < end; ++i) call(i, std::size_t{0});
+  }
+  const std::uint64_t elapsed = detail::grain_clock_ns() - t0;
+  feedback.update(n, static_cast<double>(elapsed));
+  return {team, elapsed};
 }
 
 /// Dynamic parallel for that polls a CancelToken between chunks: when the
@@ -214,31 +259,6 @@ void parallel_for_static(Executor& pool, std::size_t begin, std::size_t end,
     const std::size_t lo = begin + n * w / t;
     const std::size_t hi = begin + n * (w + 1) / t;
     for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
-}
-
-/// Dynamic parallel for whose body also receives the worker id — for loops
-/// that feed per-worker buffers (ConcurrentBag) while still load-balancing
-/// skewed per-element work (e.g. high-degree frontier vertices).
-template <typename Body>
-void parallel_for_worker(Executor& pool, std::size_t begin, std::size_t end,
-                         Body&& body,
-                         std::size_t chunk = detail::kDynamicChunk) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= chunk) {
-    for (std::size_t i = begin; i < end; ++i) body(i, std::size_t{0});
-    return;
-  }
-  std::atomic<std::size_t> next{begin};
-  pool.run_team([&](std::size_t w) {
-    for (;;) {
-      simhook::preempt();
-      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) break;
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      for (std::size_t i = lo; i < hi; ++i) body(i, w);
-    }
   });
 }
 

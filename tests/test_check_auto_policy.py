@@ -19,11 +19,18 @@ ROOT = Path(__file__).resolve().parent.parent
 CHECK = ROOT / "tools" / "check_auto_policy.py"
 RECORD = ROOT / "bench" / "baselines" / "regime-matrix.json"
 
-# Answers --pack-graph by writing an empty file, and --algo auto by printing
-# the pick that FAKE_PICKS (JSON: {"<graph> <threads>": entry}) names.
+# Answers --list-algos with the entries this test suite's records use,
+# --pack-graph by writing an empty file, and --algo auto by printing the
+# pick that FAKE_PICKS (JSON: {"<graph> <threads>": entry}) names.
 FAKE_TOOL = """#!/usr/bin/env python3
 import json, os, sys
 from pathlib import Path
+if "--list-algos" in sys.argv:
+    print("Registered MST/MSF algorithms (3):")
+    for name, kind in (("kruskal", "seq"), ("filter-kruskal", "par"),
+                       ("llp-boruvka", "par")):
+        print(f"  {name:<18} {kind}  summary")
+    sys.exit(0)
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if "--pack-graph" in args:
     Path(args["--pack-graph"]).write_bytes(b"")
@@ -98,6 +105,15 @@ class CheckAutoPolicy(unittest.TestCase):
                        {"road-8 2": "kruskal"})
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("UNVERIFIED", r.stdout)
+
+    def test_unregistered_entry_fails(self):
+        # A row for an entry the registry no longer lists is stale, even
+        # when auto's pick is fine.
+        r = self.check(self.cell(10.0, 20.0) +
+                       [record("road-8", 2, "kkt", 30.0)],
+                       {"road-8 2": "kruskal"})
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("UNREGISTERED record: road-8 2T kkt", r.stdout)
 
     def test_committed_record_covers_the_matrix(self):
         docs = json.loads(RECORD.read_text())

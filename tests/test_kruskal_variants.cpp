@@ -181,6 +181,52 @@ TEST_P(KruskalVariants, FilterKruskalStopsWithinOneStrideOfADeadline) {
   EXPECT_EQ(r.num_trees, g.num_vertices());
 }
 
+TEST_P(KruskalVariants, KruskalDeadlineStopsTheKeyFill) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  // Every 1024-key poll of the fill stalls 1 ms, so the fill alone takes
+  // about m / 1024 >= 290 ms unbudgeted.  A 30 ms deadline must stop it
+  // inside the fill: before the sort, and before the scan's first poll.
+  ErdosRenyiParams p;
+  p.num_vertices = 60000;
+  p.num_edges = 300000;
+  p.seed = 19;
+  const CsrGraph g = csr(generate_erdos_renyi(p));
+  const std::size_t strides = (g.num_edges() + 1023) / 1024;
+  ASSERT_GE(strides, 290u);
+
+  DisarmFailpoints disarm;
+  ASSERT_TRUE(fail::arm("kruskal/fill", "sleep(1000)"));
+  ASSERT_TRUE(fail::arm("kruskal/scan", "0%yield"));  // counts hits only
+  CancelToken token;
+  token.set_deadline_after_ms(30);
+  const auto start = std::chrono::steady_clock::now();
+  const MstResult r = kruskal_cancellable(g, &token);
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kDeadlineExceeded);
+  EXPECT_TRUE(r.edges.empty());
+  EXPECT_EQ(r.num_trees, g.num_vertices());
+  EXPECT_GE(fail::hit_count("kruskal/fill"), 1u);
+  EXPECT_LT(fail::hit_count("kruskal/fill"), strides);
+  EXPECT_EQ(fail::hit_count("kruskal/scan"), 0u);
+  // One stride past the deadline is a 1 ms stall plus 1024 keys; the rest
+  // of the allowance is scheduling noise on a loaded host.
+  EXPECT_LT(elapsed_ms, 150.0);
+}
+
+TEST_P(KruskalVariants, KruskalInjectedFaultInTheFillStopsTheRun) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  DisarmFailpoints disarm;
+  ASSERT_TRUE(fail::arm("kruskal/fill", "return"));
+  const CsrGraph g = csr(er_edges(5));
+  const MstResult r = kruskal_cancellable(g, nullptr);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kInjectedFault);
+  EXPECT_TRUE(r.edges.empty());
+  EXPECT_EQ(r.num_trees, g.num_vertices());
+}
+
 TEST_P(KruskalVariants, FilterKruskalInjectedFaultStopsTheRun) {
   if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   DisarmFailpoints disarm;

@@ -3,6 +3,10 @@
 // parallel version.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
 #include "graph/algorithms/connected_components.hpp"
 #include "graph/generators/random_graph.hpp"
 #include "graph/generators/rmat.hpp"
@@ -12,6 +16,9 @@
 #include "llp/llp_prim_parallel.hpp"
 #include "mst/kruskal.hpp"
 #include "mst/prim.hpp"
+#include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
+#include "sim/sim_executor.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -214,6 +221,107 @@ TEST(LlpPrimParallelStats, MweShareGrowsWithDensity) {
   const MstResult r = llp_prim_parallel(road, ctx);
   EXPECT_GT(r.stats.fixed_via_mwe, road.num_vertices() / 10);
   EXPECT_GT(r.stats.edges_relaxed, 0u);
+}
+
+/// A hub joined to each of `leaves` leaves by the leaf's lightest edge, a
+/// pendant vertex hanging off every leaf, and a heavier path through the
+/// leaves.  The root's one-vertex frontier fixes every leaf across its MWE,
+/// so the second super-step explores all the leaves at once (and fixes the
+/// pendants).
+CsrGraph star_hub_graph(std::uint32_t leaves) {
+  EdgeList list(1 + 2 * leaves);
+  for (std::uint32_t v = 1; v <= leaves; ++v) {
+    list.add_edge(0, v, 1 + v % 97);
+    list.add_edge(v, leaves + v, 2000 + v % 31);
+    if (v < leaves) list.add_edge(v, v + 1, 1000 + v % 13);
+  }
+  list.normalize();
+  return csr(list);
+}
+
+/// Each super-step is drained inline or by a dispatched team; both paths
+/// must write Kruskal's forest, and the per-run summary must account for
+/// every step.  The road grid's frontiers are mostly one or two vertices
+/// (inline); the star hub's second frontier holds every leaf, large enough
+/// to dispatch on any team.
+class LlpPrimParallelPaths : public testing::TestWithParam<std::string> {
+ protected:
+  /// "sim" runs on a 4-worker SimExecutor; otherwise the thread count.
+  std::unique_ptr<Executor> make_executor() const {
+    if (GetParam() == "sim") {
+      sim::SimExecutor::Options o;
+      o.seed = 11;
+      o.workers = 4;
+      return std::make_unique<sim::SimExecutor>(o);
+    }
+    return std::make_unique<ThreadPool>(std::stoul(GetParam()));
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Executors, LlpPrimParallelPaths,
+                         testing::Values("1", "2", "4", "sim"));
+
+TEST_P(LlpPrimParallelPaths, InlineAndDispatchedStepsWriteKruskalsForest) {
+  const std::unique_ptr<Executor> executor = make_executor();
+  const bool team = executor->num_threads() > 1;
+  const CsrGraph road = medium_connected_graph(21);
+  const CsrGraph star = star_hub_graph(4000);
+  for (const CsrGraph* g : {&road, &star}) {
+    RunContext ctx;
+    ctx.attach_executor(executor.get());
+    const MstResult r = llp_prim_parallel(*g, ctx);
+    const bool is_star = g == &star;
+    ASSERT_EQ(r.edges, kruskal(*g).edges) << (is_star ? "star" : "road");
+    EXPECT_EQ(r.stats.llp_inline_sweeps + r.stats.llp_dispatched_sweeps,
+              r.stats.llp_sweeps);
+    EXPECT_GT(r.stats.llp_inline_sweeps, 0u);
+    if (!team) {
+      EXPECT_EQ(r.stats.llp_dispatched_sweeps, 0u);
+    } else if (is_star) {
+      EXPECT_GT(r.stats.llp_dispatched_sweeps, 0u) << "no step dispatched";
+    } else {
+      // Road frontiers are tiny: almost every step stays on the caller.
+      EXPECT_LE(r.stats.llp_dispatched_sweeps * 20, r.stats.llp_sweeps);
+    }
+  }
+}
+
+TEST_P(LlpPrimParallelPaths, OneSummaryRoundPerFrontierSizeClass) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const std::unique_ptr<Executor> executor = make_executor();
+  for (const CsrGraph& g : {medium_connected_graph(22), star_hub_graph(4000)}) {
+    obs::set_enabled(true);
+    obs::RunScope scope;
+    RunContext ctx;
+    ctx.attach_executor(executor.get());
+    const MstResult r = llp_prim_parallel(g, ctx);
+    const std::vector<obs::RoundRecord> rounds = obs::snapshot_rounds();
+    obs::set_enabled(false);
+
+    ASSERT_EQ(r.edges, kruskal(g).edges);
+    ASSERT_FALSE(rounds.empty());
+    EXPECT_LE(rounds.size(), 33u);
+    std::uint64_t steps = 0;
+    std::uint64_t fixed = 0;
+    std::uint64_t dispatched = 0;
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+      const obs::RoundRecord& round = rounds[i];
+      EXPECT_EQ(round.label, "llp_prim_parallel");
+      if (i > 0) {
+        EXPECT_GT(round.round, rounds[i - 1].round) << "classes repeat";
+      }
+      EXPECT_GT(round.edges, 0u) << "empty class " << round.round;
+      EXPECT_LE(round.components, round.edges);
+      if (round.components == 0) {
+        EXPECT_EQ(round.wall_ms, 0.0) << "inline steps are not timed";
+      }
+      steps += round.edges;
+      fixed += round.advances;
+      dispatched += round.components;
+    }
+    EXPECT_EQ(steps, r.stats.llp_sweeps);
+    EXPECT_EQ(fixed, r.stats.fixed_via_mwe);
+    EXPECT_EQ(dispatched, r.stats.llp_dispatched_sweeps);
+  }
 }
 
 }  // namespace

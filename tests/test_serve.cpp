@@ -617,5 +617,30 @@ TEST(QueryService, QueryAfterARoundHeavyQueryCarriesNoRounds) {
   service.shutdown();
 }
 
+TEST(QueryService, LlpPrimParallelResponseIsOneSummaryNotARoundPerStep) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
+  const ObsOn obs_on;
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.load("web", "rmat:12", 1).ok());
+  ServiceOptions options;
+  options.start_workers = false;
+  QueryService service(catalog, options);
+  Sink sink;
+  service.handle(R"({"op":"query","graph":"web","algo":"llp-prim-parallel"})",
+                 0, sink.fn());
+  ASSERT_EQ(service.drain_one(), 1u);
+  ASSERT_EQ(sink.count(), 1u);
+  const Json report = sink.parsed(0);
+  EXPECT_EQ(request_status(report), "ok");
+  // Thousands of super-steps summarize into at most one round per log2
+  // frontier-size class, so nothing is dropped and nothing warns.
+  EXPECT_LT(sink.lines.at(0).size(), 16u * 1024);
+  EXPECT_TRUE(report.find("warnings")->as_array().empty());
+  const auto& rounds = report.find("rounds")->as_array();
+  EXPECT_FALSE(rounds.empty());
+  EXPECT_LE(rounds.size(), 33u);
+  service.shutdown();
+}
+
 }  // namespace
 }  // namespace llpmst::serve

@@ -8,7 +8,8 @@ asks the built mst_tool which entry `--algo auto` runs there (a graph
 named KIND-SCALE is `--generate KIND --scale SCALE`, packed once and mounted
 at each thread count) and fails when that entry's recorded median is more
 than 10% above the cell's best, or was not measured.  It also fails when a
-record was not verified against the Kruskal oracle.
+record was not verified against the Kruskal oracle, or names an entry that
+`mst_tool --list-algos` does not list (a deleted entry's stale row).
 
     tools/check_auto_policy.py --tool build/examples/mst_tool \\
         [--record bench/baselines/regime-matrix.json] [--pack-dir DIR]
@@ -24,6 +25,7 @@ from pathlib import Path
 # auto's pick may be at most this much slower than the cell's best entry.
 TOLERANCE = 1.10
 PICK = re.compile(r"^Algorithm : auto -> (\S+) \((\d+) threads\)", re.M)
+LISTED = re.compile(r"^  (\S+) +(?:seq|par) ", re.M)
 
 
 def load_cells(record: Path):
@@ -40,6 +42,16 @@ def load_cells(record: Path):
         cells.setdefault((d["workload"], d["threads"]), {})[d["algo"]] = (
             d["ms"]["median"])
     return cells, unverified
+
+
+def registered(tool: str) -> set:
+    """The entry names `tool --list-algos` lists."""
+    out = subprocess.run([tool, "--list-algos"], check=True,
+                         capture_output=True, text=True).stdout
+    names = set(LISTED.findall(out))
+    if not names:
+        sys.exit(f"error: no registered entries in {tool} --list-algos")
+    return names
 
 
 def auto_pick(tool: str, pack: Path, threads: int) -> str:
@@ -83,6 +95,12 @@ def main():
     ok = not unverified
     for u in unverified:
         print(f"UNVERIFIED record: {u}")
+    names = registered(args.tool)
+    for (workload, threads), medians in sorted(cells.items()):
+        for algo in sorted(set(medians) - names - {"auto"}):
+            print(f"UNREGISTERED record: {workload} {threads}T {algo} is not "
+                  f"a registry entry")
+            ok = False
 
     with tempfile.TemporaryDirectory() as tmp:
         pack_dir = args.pack_dir or Path(tmp)

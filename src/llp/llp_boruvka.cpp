@@ -5,12 +5,9 @@
 namespace llpmst {
 
 MstResult llp_boruvka(const CsrGraph& g, RunContext& ctx) {
-  // Context-owned persistent scratch: repeated runs through one context
-  // reuse capacity and grain feedback (see parallel_boruvka.cpp).
   BoruvkaConfig config;
   config.jumping = PointerJumping::kAsynchronous;
   config.obs_label = "llp_boruvka";
-  config.scratch = &ctx.scratch().get<BoruvkaScratch>();
   return boruvka_engine(g, ctx, config);
 }
 

@@ -19,19 +19,16 @@
 namespace llpmst {
 
 /// Runs on ctx.executor(), reusing the context's BoruvkaScratch across runs.
-/// ctx.cancel_token() (when set) stops the run between rounds; a triggered
-/// token or an injected fault yields result.stats.outcome != kOk with a
-/// PARTIAL forest.
+/// ctx.cancel_token() (when set) stops the run within one chunk of any
+/// sweep; a triggered token or an injected fault yields
+/// result.stats.outcome != kOk with a PARTIAL forest (a subset of the MSF).
 [[nodiscard]] MstResult llp_boruvka(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm llp_boruvka_algorithm();
 
-/// Ablation entry point: run LLP-Boruvka with explicit engine knobs (which
-/// pointer-jumping flavour, which load balance).  llp_boruvka() runs
-/// kAsynchronous; the baseline runs kSynchronized.  Config fields override
-/// the context (config.cancel, when set, beats ctx.cancel_token();
-/// config.scratch == nullptr means a fresh engine-internal scratch, NOT the
-/// context's — the ablation's scratch-reuse axis depends on that).
+/// Ablation entry point: run the engine with an explicit config (which
+/// pointer-jumping flavour, a round observer).  llp_boruvka() runs
+/// kAsynchronous; the baseline runs kSynchronized.
 [[nodiscard]] MstResult llp_boruvka_configured(const CsrGraph& g,
                                                RunContext& ctx,
                                                const BoruvkaConfig& config);

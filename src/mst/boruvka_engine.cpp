@@ -13,8 +13,8 @@
 #include "obs/recorder.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/scan.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/assert.hpp"
+#include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 
 namespace llpmst {
@@ -84,14 +84,11 @@ struct Engine {
   Executor& pool;
   const BoruvkaConfig& cfg;
   BoruvkaScratch& s;
+  const CancelToken* cancel;  // null: the run cannot be stopped
   MstResult r;
 
   std::size_t threads;
   std::size_t k = 0;  // live components in the current (dense) id space
-  bool steal_fallback = false;  // extract sweep rerouted after measured skew
-  /// max/mean per-worker busy time of the last extract() sweep; 0.0 on
-  /// paths that do not time per-worker shares (serial, steal, fixed-chunk).
-  double last_extract_imbalance = 0.0;
   std::atomic<std::uint32_t> emit_pos{0};  // cursor into s.msf_edges
   std::atomic<std::uint64_t> jump_count{0};
   std::uint64_t jump_rounds = 0;
@@ -103,9 +100,21 @@ struct Engine {
   std::size_t k_new = 0;
   bool pair_table = false;  // the bundle minimum ran through the pair table
 
-  Engine(const CsrGraph& graph, Executor& p, const BoruvkaConfig& c,
-         BoruvkaScratch& scratch)
-      : g(graph), pool(p), cfg(c), s(scratch), threads(p.num_threads()) {}
+  Engine(const CsrGraph& graph, RunContext& ctx, const BoruvkaConfig& c)
+      : g(graph),
+        pool(ctx.executor()),
+        cfg(c),
+        s(ctx.scratch().get<BoruvkaScratch>()),
+        cancel(ctx.cancel_token()),
+        threads(pool.num_threads()) {}
+
+  [[nodiscard]] bool stopping() const {
+    return cancel != nullptr && cancel->cancelled();
+  }
+  /// The stop predicate every sweep polls once per chunk.
+  [[nodiscard]] auto stop() const {
+    return [this] { return stopping(); };
+  }
 
   /// Round 1 setup: identity parents and the CSR's precomputed per-vertex
   /// minima ("the MWE set can be computed when the graph is input").
@@ -125,83 +134,30 @@ struct Engine {
   /// MWE extract: recover, for every component whose minimum is known in
   /// best[], the partner component across that winning edge.  Exactly one
   /// edge matches best[c] (priorities are unique), so each partner slot has
-  /// a single writer and the sweep is read-mostly and race-free.
+  /// a single writer and the sweep is read-mostly and race-free.  Like every
+  /// sweep below, returns false iff the token stopped it.
   template <typename View>
-  void extract(const View& ev) {
+  bool extract(const View& ev) {
     obs::PhaseTimer span("mwe_select");
-    last_extract_imbalance = 0.0;
-    const std::size_t me = ev.size();
-    auto body = [this, &ev](std::size_t i) {
+    const auto body = [this, &ev](std::size_t i) {
       const EdgePriority p = ev.prio(i);
       const VertexId a = ev.u(i);
       const VertexId b = ev.v(i);
       if (p == s.best[a]) s.partner[a] = b;
       if (p == s.best[b]) s.partner[b] = a;
     };
-    const bool steal = cfg.load_balance == BoruvkaLoadBalance::kWorkStealing ||
-                       steal_fallback;
-    if (steal) {
-      parallel_for_stealing(pool, 0, me, s.extract_grain.grain(me, threads),
-                            body);
-      return;
-    }
-    if (cfg.load_balance == BoruvkaLoadBalance::kFixedChunk) {
-      parallel_for(pool, 0, me, body);
-      return;
-    }
-    // Adaptive: chunked with a utilization probe.  A sweep that ends with
-    // most workers idle (stragglers holding hot, contended components)
-    // reroutes the remaining rounds to the work-stealing path, whose lazy
-    // splitting peels a straggler's tail in halves.
-    if (threads == 1 || s.extract_grain.prefers_serial(me)) {
-      const std::uint64_t t0 = detail::grain_clock_ns();
-      for (std::size_t i = 0; i < me; ++i) body(i);
-      s.extract_grain.update(me,
-                             static_cast<double>(detail::grain_clock_ns() - t0));
-      return;
-    }
-    s.worker_ns.assign(threads, 0);
-    const std::size_t grain = s.extract_grain.grain(me, threads);
-    const std::uint64_t t0 = detail::grain_clock_ns();
-    parallel_chunks(pool, 0, me, grain,
-                    [this, &body](std::size_t lo, std::size_t hi,
-                                  std::size_t w) {
-                      const std::uint64_t c0 = detail::grain_clock_ns();
-                      for (std::size_t i = lo; i < hi; ++i) body(i);
-                      s.worker_ns[w] += detail::grain_clock_ns() - c0;
-                    });
-    const std::uint64_t wall = detail::grain_clock_ns() - t0;
-    s.extract_grain.update(me, static_cast<double>(wall));
-    std::uint64_t busy = 0;
-    std::uint64_t busy_max = 0;
-    for (std::size_t w = 0; w < threads; ++w) {
-      busy += s.worker_ns[w];
-      if (s.worker_ns[w] > busy_max) busy_max = s.worker_ns[w];
-    }
-    if (busy > 0) {
-      // max/mean: 1.0 = perfectly balanced; feeds the round telemetry.
-      last_extract_imbalance = static_cast<double>(busy_max) *
-                               static_cast<double>(threads) /
-                               static_cast<double>(busy);
-    }
-    // utilization = busy / (wall * threads); below ~55% on a sweep that is
-    // long enough to matter (>100us) means stragglers, not noise.
-    if (wall > 100'000 && busy * 100 < wall * threads * 55) {
-      steal_fallback = true;
-      if (obs::kCompiledIn) {
-        obs::counter(std::string(cfg.obs_label) + "/mwe_steal_fallbacks")
-            .add(1);
-      }
-    }
+    return !parallel_for_adaptive(pool, 0, ev.size(), s.extract_grain, body,
+                                  stop())
+                .stopped;
   }
 
   /// Hook: every component with an outgoing MWE picks its parent across it;
   /// mutual choices are broken by id (smaller id stays root).  The hooking
   /// side emits the edge (into a unique cursor slot), so each MSF edge is
   /// emitted exactly once; finalize_result orders the ids, so order is free.
-  void hook() {
+  bool hook() {
     obs::PhaseTimer span("hook");
-    parallel_for_adaptive(pool, 0, k, s.vertex_grain, [this](std::size_t c) {
+    const auto body = [this](std::size_t c) {
       const EdgePriority p = s.best[c];
       if (p == kInfinitePriority) return;  // no incident edges (round 1 only)
       const VertexId pw = s.partner[c];
@@ -212,11 +168,13 @@ struct Engine {
       s.parent[c] = pw;
       s.msf_edges[emit_pos.fetch_add(1, std::memory_order_relaxed)] =
           priority_edge(p);
-    });
+    };
+    return !parallel_for_adaptive(pool, 0, k, s.vertex_grain, body, stop())
+                .stopped;
   }
 
   /// Pointer jumping: collapse every component to a rooted star.
-  void jump() {
+  bool jump() {
     obs::PhaseTimer span("pointer_jump");
     if (cfg.jumping == PointerJumping::kAsynchronous) {
       // One chaotic pass.  parent chains always lead to a root (roots are
@@ -226,7 +184,7 @@ struct Engine {
       // EVERY node on the chase path, not just the starting vertex — the
       // next vertex sharing a suffix of the path finds its root in O(1).
       ++jump_rounds;
-      parallel_for_adaptive(pool, 0, k, s.vertex_grain, [this](std::size_t v) {
+      const auto chase = [this](std::size_t v) {
         VertexId root = rel_load(s.parent[v]);
         if (root == static_cast<VertexId>(v)) return;
         std::uint64_t steps = 0;
@@ -245,28 +203,31 @@ struct Engine {
         if (steps != 0) {
           jump_count.fetch_add(steps, std::memory_order_relaxed);
         }
+      };
+      return !parallel_for_adaptive(pool, 0, k, s.vertex_grain, chase, stop())
+                  .stopped;
+    }
+    // Bulk-synchronous double-buffered jumping; each iteration is a full
+    // team barrier (this is the synchronization LLP-Boruvka removes), and
+    // the token is polled between iterations.
+    s.jump_buf.resize(k);
+    for (;;) {
+      if (stopping()) return false;
+      ++jump_rounds;
+      std::atomic<bool> changed{false};
+      parallel_for(pool, 0, k, [this, &changed](std::size_t v) {
+        const VertexId p = s.parent[v];
+        const VertexId pp = s.parent[p];
+        s.jump_buf[v] = pp;
+        if (pp != p) changed.store(true, std::memory_order_relaxed);
       });
-    } else {
-      // Bulk-synchronous double-buffered jumping; each iteration is a full
-      // team barrier (this is the synchronization LLP-Boruvka removes).
-      s.jump_buf.resize(k);
-      for (;;) {
-        ++jump_rounds;
-        std::atomic<bool> changed{false};
-        parallel_for(pool, 0, k, [this, &changed](std::size_t v) {
-          const VertexId p = s.parent[v];
-          const VertexId pp = s.parent[p];
-          s.jump_buf[v] = pp;
-          if (pp != p) changed.store(true, std::memory_order_relaxed);
-        });
-        parallel_for(pool, 0, k, [this](std::size_t v) {
-          if (s.parent[v] != s.jump_buf[v]) {
-            s.parent[v] = s.jump_buf[v];
-            jump_count.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-        if (!changed.load(std::memory_order_relaxed)) break;
-      }
+      parallel_for(pool, 0, k, [this](std::size_t v) {
+        if (s.parent[v] != s.jump_buf[v]) {
+          s.parent[v] = s.jump_buf[v];
+          jump_count.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      if (!changed.load(std::memory_order_relaxed)) return true;
     }
   }
 
@@ -279,7 +240,7 @@ struct Engine {
   /// survivor is relabeled as is.  Both paths are exact and their output
   /// does not depend on the thread count.
   template <typename View>
-  void contract(const View& ev) {
+  bool contract(const View& ev) {
     obs::PhaseTimer span("contract");
     const std::size_t me = ev.size();
     const std::size_t grain = s.contract_grain.grain(me, threads);
@@ -290,20 +251,20 @@ struct Engine {
     // Pass A: count survivors per chunk and mark live roots.  A mark is
     // stored only while it still reads 0: with few live roots, a store per
     // edge would keep every worker writing the same cache lines.
-    parallel_chunks(pool, 0, me, grain,
-                    [this, &ev, grain](std::size_t lo, std::size_t hi,
-                                       std::size_t) {
-                      std::size_t alive = 0;
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        const VertexId cu = s.parent[ev.u(i)];
-                        const VertexId cv = s.parent[ev.v(i)];
-                        if (cu == cv) continue;
-                        ++alive;
-                        mark_live(cu);
-                        mark_live(cv);
-                      }
-                      s.chunk_count[lo / grain] = alive;
-                    });
+    const auto count = [this, &ev, grain](std::size_t lo, std::size_t hi,
+                                          std::size_t) {
+      std::size_t alive = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        const VertexId cu = s.parent[ev.u(i)];
+        const VertexId cv = s.parent[ev.v(i)];
+        if (cu == cv) continue;
+        ++alive;
+        mark_live(cu);
+        mark_live(cv);
+      }
+      s.chunk_count[lo / grain] = alive;
+    };
+    if (!parallel_chunks(pool, 0, me, grain, count, stop())) return false;
     std::size_t alive_total = 0;
     for (const std::size_t c : s.chunk_count) alive_total += c;
     self_loops = me - alive_total;
@@ -315,10 +276,8 @@ struct Engine {
     s.best.assign(k_new, kInfinitePriority);
     const std::size_t pairs = pair_slot(0, k_new);
     pair_table = k_new >= 2 && pairs <= alive_total;
-    if (pair_table) {
-      bundle_min(ev, grain, pairs);
-    } else {
-      relabel(ev, grain);
+    if (!(pair_table ? bundle_min(ev, grain, pairs) : relabel(ev, grain))) {
+      return false;
     }
     bundle_dropped = alive_total - kept;
 
@@ -345,6 +304,7 @@ struct Engine {
     });
     s.contract_grain.update(me,
                             static_cast<double>(detail::grain_clock_ns() - t0));
+    return true;
   }
 
   void mark_live(VertexId c) {
@@ -369,57 +329,61 @@ struct Engine {
   /// Relabel path: emit every survivor at its chunk's scanned offset, so the
   /// output keeps input order.
   template <typename View>
-  void relabel(const View& ev, std::size_t grain) {
+  bool relabel(const View& ev, std::size_t grain) {
     scan_chunk_counts();
-    parallel_chunks(pool, 0, ev.size(), grain,
-                    [this, &ev, grain](std::size_t lo, std::size_t hi,
-                                       std::size_t) {
-                      std::size_t pos = s.chunk_count[lo / grain];
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        const VertexId cu = s.parent[ev.u(i)];
-                        const VertexId cv = s.parent[ev.v(i)];
-                        if (cu == cv) continue;
-                        const EdgePriority p = ev.prio(i);
-                        const VertexId du = s.dense[cu];
-                        const VertexId dv = s.dense[cv];
-                        s.next_edges[pos++] = {du, dv, p};
-                        prio_fetch_min(s.best[du], p);
-                        prio_fetch_min(s.best[dv], p);
-                      }
-                    });
+    const auto emit = [this, &ev, grain](std::size_t lo, std::size_t hi,
+                                         std::size_t) {
+      std::size_t pos = s.chunk_count[lo / grain];
+      for (std::size_t i = lo; i < hi; ++i) {
+        const VertexId cu = s.parent[ev.u(i)];
+        const VertexId cv = s.parent[ev.v(i)];
+        if (cu == cv) continue;
+        const EdgePriority p = ev.prio(i);
+        const VertexId du = s.dense[cu];
+        const VertexId dv = s.dense[cv];
+        s.next_edges[pos++] = {du, dv, p};
+        prio_fetch_min(s.best[du], p);
+        prio_fetch_min(s.best[dv], p);
+      }
+    };
+    return parallel_chunks(pool, 0, ev.size(), grain, emit, stop());
   }
 
   /// Bundle-minimum path: every survivor lowers its pair's slot, then the
   /// finite slots are emitted in row order.  The table's init and scans are
   /// bounded by the surviving edges it replaces.
   template <typename View>
-  void bundle_min(const View& ev, std::size_t grain, std::size_t pairs) {
+  bool bundle_min(const View& ev, std::size_t grain, std::size_t pairs) {
     if (s.pair_min.size() < pairs) s.pair_min.resize(pairs);
     parallel_for_static(pool, 0, pairs, [this](std::size_t i) {
       s.pair_min[i] = kInfinitePriority;
     });
-    parallel_chunks(pool, 0, ev.size(), grain,
-                    [this, &ev](std::size_t lo, std::size_t hi, std::size_t) {
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        const VertexId cu = s.parent[ev.u(i)];
-                        const VertexId cv = s.parent[ev.v(i)];
-                        if (cu == cv) continue;
-                        prio_fetch_min(s.pair_min[slot_of(cu, cv)], ev.prio(i));
-                      }
-                    });
+    const auto lower = [this, &ev](std::size_t lo, std::size_t hi,
+                                   std::size_t) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const VertexId cu = s.parent[ev.u(i)];
+        const VertexId cv = s.parent[ev.v(i)];
+        if (cu == cv) continue;
+        prio_fetch_min(s.pair_min[slot_of(cu, cv)], ev.prio(i));
+      }
+    };
+    if (!parallel_chunks(pool, 0, ev.size(), grain, lower, stop())) {
+      return false;
+    }
 
     const std::size_t tg = s.contract_grain.grain(pairs, threads);
     s.chunk_count.assign((pairs + tg - 1) / tg, 0);
-    parallel_chunks(pool, 0, pairs, tg,
-                    [this, tg](std::size_t lo, std::size_t hi, std::size_t) {
-                      std::size_t cnt = 0;
-                      for (std::size_t i = lo; i < hi; ++i) {
-                        cnt += s.pair_min[i] != kInfinitePriority;
-                      }
-                      s.chunk_count[lo / tg] = cnt;
-                    });
+    const auto count = [this, tg](std::size_t lo, std::size_t hi,
+                                  std::size_t) {
+      std::size_t cnt = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        cnt += s.pair_min[i] != kInfinitePriority;
+      }
+      s.chunk_count[lo / tg] = cnt;
+    };
+    if (!parallel_chunks(pool, 0, pairs, tg, count, stop())) return false;
     scan_chunk_counts();
-    parallel_chunks(
+    return parallel_chunks(
         pool, 0, pairs, tg,
         [this, tg](std::size_t lo, std::size_t hi, std::size_t) {
           std::size_t pos = s.chunk_count[lo / tg];
@@ -443,7 +407,20 @@ struct Engine {
               a = 0;
             }
           }
-        });
+        },
+        stop());
+  }
+
+  /// One round's sweeps over the round's edge list; false iff the token
+  /// stopped one of them.
+  template <typename View>
+  bool sweep(const View& ev, BoruvkaRoundStats& info) {
+    if (!extract(ev)) return false;
+    const std::size_t emitted_before = emit_pos.load(std::memory_order_relaxed);
+    const bool hooked = hook();
+    info.msf_edges_emitted =
+        emit_pos.load(std::memory_order_relaxed) - emitted_before;
+    return hooked && jump() && contract(ev);
   }
 
   MstResult run() {
@@ -458,11 +435,10 @@ struct Engine {
     bool first_round = true;
     const bool rounds_on = obs::kCompiledIn && obs::enabled();
     while (active > 0) {
-      // Cancellation checkpoint, once per round: every edge already drained
-      // into `chosen` was a genuine MSF edge, so stopping between rounds
-      // yields a valid partial forest.
-      if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-        r.stats.outcome = cfg.cancel->reason();
+      // An already-triggered token (an expired budget) stops the run before
+      // round 1's O(n) setup; from there on, every sweep polls it per chunk.
+      if (first_round && stopping()) {
+        r.stats.outcome = cancel->reason();
         break;
       }
       // Chaos hook, once per round.  Sleep/yield here widens the window
@@ -485,24 +461,17 @@ struct Engine {
       info.round = r.stats.rounds;
       info.active_edges = active;
 
-      const std::size_t emitted_before =
-          emit_pos.load(std::memory_order_relaxed);
-      if (first_round) {
-        info.components = n;
-        init_round1();
-        extract(CsrEdgeView{&g});
-      } else {
-        info.components = k;
-        extract(ActiveEdgeView{s.edges.data(), s.edges.size()});
-      }
-      hook();
-      info.msf_edges_emitted =
-          emit_pos.load(std::memory_order_relaxed) - emitted_before;
-      jump();
-      if (first_round) {
-        contract(CsrEdgeView{&g});
-      } else {
-        contract(ActiveEdgeView{s.edges.data(), s.edges.size()});
+      info.components = first_round ? n : k;
+      if (first_round) init_round1();
+      const bool swept =
+          first_round
+              ? sweep(CsrEdgeView{&g}, info)
+              : sweep(ActiveEdgeView{s.edges.data(), s.edges.size()}, info);
+      if (!swept) {
+        // Every edge emitted so far is a component MWE, hence an MSF edge:
+        // the run returns that partial forest with the token's outcome.
+        r.stats.outcome = cancel->reason();
+        break;
       }
       s.edges.swap(s.next_edges);
       active = kept;
@@ -517,7 +486,6 @@ struct Engine {
         rr.edges = info.active_edges;
         rr.advances = info.msf_edges_emitted;
         rr.wall_ms = static_cast<double>(obs::now_us() - round_t0) * 1e-3;
-        rr.imbalance = last_extract_imbalance;
         obs::record_round(rr);
       }
 
@@ -555,15 +523,7 @@ MstResult boruvka_engine(const CsrGraph& g, RunContext& ctx,
                          const BoruvkaConfig& config) {
   obs::PhaseTimer algo_span(config.obs_label);
   obs::ScopedHwCounters hw_scope(config.obs_label);
-  // Config fields override the context: an explicit cancel token wins over
-  // ctx.cancel_token(), and scratch deliberately does NOT default to the
-  // context's arena (the ablation bench measures fresh-vs-reused scratch;
-  // the named entry points opt in explicitly).
-  BoruvkaConfig cfg = config;
-  if (cfg.cancel == nullptr) cfg.cancel = ctx.cancel_token();
-  BoruvkaScratch local_scratch;
-  BoruvkaScratch& s = cfg.scratch != nullptr ? *cfg.scratch : local_scratch;
-  Engine engine(g, ctx.executor(), cfg, s);
+  Engine engine(g, ctx, config);
   return engine.run();
 }
 

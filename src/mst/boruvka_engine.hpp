@@ -24,9 +24,9 @@
 // entirely — every per-component array (parent, best, partner) is sized to
 // the current number of live components, which at least halves per round, so
 // later rounds touch geometrically shrinking flat arrays instead of O(n)
-// memory.  All round-local buffers live in a BoruvkaScratch that is reused
-// across rounds (and, optionally, across runs): steady-state rounds perform
-// no heap allocation.
+// memory.  All round-local buffers live in the RunContext's BoruvkaScratch,
+// reused across rounds and runs: steady-state rounds perform no heap
+// allocation.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@
 
 #include "mst/mst_result.hpp"
 #include "parallel/parallel_for.hpp"
-#include "support/cancel.hpp"
 
 namespace llpmst {
 
@@ -54,19 +53,6 @@ enum class PointerJumping {
   /// `advance(j) = G[j] := G[G[j]]`) "evaluated in parallel and without
   /// synchronization".
   kAsynchronous,
-};
-
-/// Scheduling policy for the engine's per-round parallel sweeps.
-enum class BoruvkaLoadBalance {
-  /// Adaptive-grain chunked loops (GrainFeedback); the MWE-extract sweep
-  /// falls back to the work-stealing runtime for the rest of the run once a
-  /// round measures heavy per-worker imbalance (max worker time > 2x mean).
-  kAdaptive,
-  /// Always route the MWE-extract sweep through parallel_for_stealing.
-  kWorkStealing,
-  /// Fixed-size chunks (detail::kDynamicChunk), no feedback — the
-  /// pre-adaptive behaviour, kept for ablation.
-  kFixedChunk,
 };
 
 /// Per-round telemetry handed to BoruvkaConfig::round_observer (tests use
@@ -97,11 +83,11 @@ struct BoruvkaActiveEdge {
   EdgePriority prio;
 };
 
-/// All round-local buffers, owned by the caller so repeated runs (benchmark
-/// repetitions, service request loops) reuse capacity instead of
-/// reallocating.  A default-constructed scratch works for any graph/pool;
-/// the engine grows each vector on first use and never shrinks capacity.
-/// Not thread-safe: one run at a time per scratch.
+/// All round-local buffers, kept in the RunContext's scratch arena so
+/// repeated runs (benchmark repetitions, service request loops) reuse
+/// capacity instead of reallocating.  The engine grows each vector on first
+/// use and never shrinks capacity.  Not thread-safe: one run at a time per
+/// scratch.
 struct BoruvkaScratch {
   std::vector<VertexId> parent;        // component parent links (atomic_ref)
   std::vector<EdgePriority> best;      // per-component MWE (atomic_ref)
@@ -112,7 +98,6 @@ struct BoruvkaScratch {
   std::vector<VertexId> jump_buf;      // synchronized jumping double buffer
   std::vector<EdgeId> msf_edges;       // emitted MSF edges (atomic cursor)
   std::vector<std::size_t> chunk_count;   // per-chunk survivor counts
-  std::vector<std::uint64_t> worker_ns;   // per-worker sweep times (skew)
   std::vector<EdgePriority> pair_min;     // bundle minimum per component pair
   std::vector<EdgeId> dropped;            // collect_dropped_edges gather
   GrainFeedback extract_grain;  // MWE extract sweep (reads, rare writes)
@@ -122,25 +107,10 @@ struct BoruvkaScratch {
 
 struct BoruvkaConfig {
   PointerJumping jumping = PointerJumping::kAsynchronous;
-  /// Scheduling policy for the per-round sweeps.
-  BoruvkaLoadBalance load_balance = BoruvkaLoadBalance::kAdaptive;
   /// Prefix for observability metrics/phases ("<obs_label>/round/hook", ...)
   /// so the two engine clients stay distinguishable in reports.  Must be a
   /// string literal (borrowed, not owned).
   const char* obs_label = "boruvka";
-  /// Optional cooperative cancellation, polled once per round (rounds shrink
-  /// the edge list geometrically, so this is O(log n) polls total).  A
-  /// triggered token — or the "boruvka/contract" failpoint — stops the run
-  /// with stats.outcome != kOk and the PARTIAL forest built so far.
-  /// nullptr = the engine falls back to RunContext::cancel_token().
-  const CancelToken* cancel = nullptr;
-  /// Optional caller-owned scratch, reused across runs.  nullptr = the
-  /// engine uses an internal scratch for the run (still reused across
-  /// rounds, so per-round allocation stays zero either way).  The named
-  /// entry points (parallel_boruvka, llp_boruvka) pass the RunContext's
-  /// arena scratch; the engine itself deliberately does NOT default to it,
-  /// so the ablation's fresh-vs-reused scratch axis stays measurable.
-  BoruvkaScratch* scratch = nullptr;
   /// Called after every round's contraction with that round's stats.
   std::function<void(const BoruvkaRoundStats&)> round_observer;
   /// Populate BoruvkaRoundStats::dropped_edge_ids (testing; extra pass).
@@ -148,7 +118,13 @@ struct BoruvkaConfig {
 };
 
 /// Runs Boruvka rounds until no edges remain; returns the unique MSF.
-/// Sweeps run on ctx.executor().
+/// Sweeps run on ctx.executor(), and round buffers come from the context's
+/// BoruvkaScratch, so repeated runs through one context reuse capacity and
+/// grain feedback.  Every sweep polls ctx.cancel_token() once per chunk; a
+/// triggered token (or the "boruvka/contract" failpoint, once per round)
+/// stops the run with stats.outcome != kOk and the forest emitted so far.
+/// Hook only ever emits component MWEs, so that partial forest is a subset
+/// of the MSF.
 [[nodiscard]] MstResult boruvka_engine(const CsrGraph& g, RunContext& ctx,
                                        const BoruvkaConfig& config);
 

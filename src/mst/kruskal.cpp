@@ -70,10 +70,10 @@ MstResult kruskal_cancellable(const CsrGraph& g, const CancelToken* cancel) {
     }
     // Stable LSD passes over the weight half only: the keys arrive in id
     // order, so stability leaves them in full (weight, id) order.  The token
-    // is polled before the scratch buffer is allocated and before each
-    // pass: on cancellation the sort stops early, leaving the keys
-    // unordered, and the scan's poll at i == 0 reports the outcome before
-    // any key is used.
+    // is polled before the scratch buffer is allocated and every
+    // kScanStride keys of each pass: on cancellation the sort stops early,
+    // leaving the keys unordered, and the scan's poll at i == 0 reports the
+    // outcome before any key is used.
     const auto stop = [cancel] {
       return cancel != nullptr && cancel->cancelled();
     };

@@ -6,14 +6,9 @@
 namespace llpmst {
 
 MstResult parallel_boruvka(const CsrGraph& g, RunContext& ctx) {
-  // Context-owned persistent scratch (the explicit replacement for the old
-  // thread_local): repeated runs through one context reuse the grown
-  // capacity and the learned grain feedback instead of re-allocating and
-  // re-measuring from scratch every call.
   BoruvkaConfig config;
   config.jumping = PointerJumping::kSynchronized;
   config.obs_label = "parallel_boruvka";
-  config.scratch = &ctx.scratch().get<BoruvkaScratch>();
   return boruvka_engine(g, ctx, config);
 }
 

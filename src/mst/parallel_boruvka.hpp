@@ -11,8 +11,8 @@ namespace llpmst {
 
 class RunContext;
 
-/// Runs on ctx.executor(), polls ctx.cancel_token() between rounds, and reuses
-/// the context's BoruvkaScratch across runs.
+/// Runs on ctx.executor(), polls ctx.cancel_token() once per sweep chunk,
+/// and reuses the context's BoruvkaScratch across runs.
 [[nodiscard]] MstResult parallel_boruvka(const CsrGraph& g, RunContext& ctx);
 /// Registry descriptor (see mst/registry.hpp).
 [[nodiscard]] MstAlgorithm parallel_boruvka_algorithm();

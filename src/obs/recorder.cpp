@@ -449,8 +449,7 @@ void record_round(const RoundRecord& rr) {
       rr.label.empty() ? top_node(log.stack) : detail::intern(0, rr.label);
   append_local(Record{RecordKind::kRound, 0, node, rr.round,
                       {rr.components, rr.edges, rr.advances,
-                       std::bit_cast<std::uint64_t>(rr.wall_ms),
-                       std::bit_cast<std::uint64_t>(rr.imbalance)}});
+                       std::bit_cast<std::uint64_t>(rr.wall_ms)}});
 }
 
 std::vector<RoundRecord> snapshot_rounds() {
@@ -459,8 +458,7 @@ std::vector<RoundRecord> snapshot_rounds() {
                         [&out](std::uint32_t, const Record& r) {
                           out.push_back(RoundRecord{
                               node_at(r.node).path, r.ts_us, r.v[0], r.v[1],
-                              r.v[2], std::bit_cast<double>(r.v[3]),
-                              std::bit_cast<double>(r.v[4])});
+                              r.v[2], std::bit_cast<double>(r.v[3])});
                         });
   return out;
 }

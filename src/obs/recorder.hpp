@@ -44,9 +44,6 @@ struct RoundRecord {
   std::uint64_t edges = 0;       // edges surviving
   std::uint64_t advances = 0;    // forbidden-state advances or edges emitted
   double wall_ms = 0.0;          // wall time of this round
-  /// max/mean per-worker busy time in the round's dominant sweep;
-  /// 1.0 = perfectly balanced, 0.0 = not measured this round.
-  double imbalance = 0.0;
 };
 
 enum class SchedEventKind : std::uint8_t {
@@ -133,14 +130,14 @@ inline constexpr int kNumRecordKinds = 4;
 
 /// One raw record.  `node` is the interned name (span, sample, round
 /// label); `v` holds the kind's payload: the duration (span), the value
-/// (sample, sched), or components/edges/advances/wall_ms/imbalance (round,
-/// the doubles bit-cast).  For rounds `ts_us` holds the round index.
+/// (sample, sched), or components/edges/advances/wall_ms (round, the
+/// double bit-cast).  For rounds `ts_us` holds the round index.
 struct Record {
   RecordKind kind = RecordKind::kSpan;
   std::uint8_t sched = 0;  // SchedEventKind for kSched
   std::uint32_t node = 0;
   std::uint64_t ts_us = 0;
-  std::uint64_t v[5] = {};
+  std::uint64_t v[4] = {};
 };
 
 /// Calls fn(shard id, record) for the current scope's records whose kind

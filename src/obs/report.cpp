@@ -108,7 +108,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
                              const HwSample* hw, const ProfSnapshot* profile) {
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"llpmst-run-report\",\"schema_version\":4,";
+  out += "{\"schema\":\"llpmst-run-report\",\"schema_version\":5,";
 
   // --- run metadata
   out += "\"run\":{\"tool\":" + json_quote(info.tool) +
@@ -219,10 +219,8 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
     append_kv_u64(out, "components", r.components);
     append_kv_u64(out, "edges", r.edges);
     append_kv_u64(out, "advances", r.advances);
-    append_kv_ms(out, "wall_ms", r.wall_ms);
-    char ibuf[48];
-    std::snprintf(ibuf, sizeof(ibuf), "\"imbalance\":%.4f}", r.imbalance);
-    out += ibuf;
+    append_kv_ms(out, "wall_ms", r.wall_ms, false);
+    out += "}";
   });
   out += ",";
 

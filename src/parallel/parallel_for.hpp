@@ -13,6 +13,9 @@
 // The adaptive variant sizes its chunks from a GrainFeedback the caller owns:
 // measured per-element cost feeds back into the next invocation's grain, and
 // loops too cheap to amortize a team dispatch run inline (see GrainFeedback).
+// Every dynamic variant runs one chunk kernel (detail::run_chunks), which
+// can poll a stop predicate once per chunk: that is how a sweep honours a
+// cancel token without a per-element check.
 #pragma once
 
 #include <atomic>
@@ -39,6 +42,50 @@ inline constexpr std::size_t kDynamicChunk = 1024;
 /// chunk sizes, which are schedule-affecting, so they must not read real
 /// time under simulation.
 inline std::uint64_t grain_clock_ns() { return vtime::steady_now_ns(); }
+
+/// The stop predicate of loops that always run to the end.  It is a
+/// constant the optimizer folds away, so an unstoppable loop pays nothing
+/// for the poll.
+struct NeverStop {
+  constexpr bool operator()() const noexcept { return false; }
+};
+
+/// The one chunk-grab loop behind every dynamic sweep: body(lo, hi, worker)
+/// over [begin, end) cut into `chunk`-sized slices whose lo is begin plus a
+/// multiple of `chunk`.  With `team` the pool's workers race for slices on a
+/// shared counter; otherwise the caller runs them in order as worker 0.
+/// stop() is polled once per slice on both paths, so a worker that sees it
+/// true finishes at most the slice it holds.  Returns true iff every slice
+/// ran.
+template <typename ChunkBody, typename Stop>
+bool run_chunks(Executor& pool, std::size_t begin, std::size_t end,
+                std::size_t chunk, bool team, ChunkBody& body, Stop& stop) {
+  if (!team) {
+    for (std::size_t lo = begin; lo < end; lo += chunk) {
+      if (stop()) return false;
+      body(lo, lo + chunk < end ? lo + chunk : end, std::size_t{0});
+    }
+    return true;
+  }
+  std::atomic<std::size_t> next{begin};
+  std::atomic<bool> stopped{false};
+  pool.run_team([&](std::size_t w) {
+    for (;;) {
+      // Preemption point: each chunk grab is a spot where the OS scheduler
+      // could interleave workers differently — under simulation the
+      // deterministic scheduler decides here instead.
+      simhook::preempt();
+      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
+      if (lo >= end) break;
+      if (stop()) {
+        stopped.store(true, std::memory_order_relaxed);
+        break;
+      }
+      body(lo, lo + chunk < end ? lo + chunk : end, w);
+    }
+  });
+  return !stopped.load(std::memory_order_relaxed);
+}
 }  // namespace detail
 
 /// Per-call-site grain controller for parallel_for_adaptive.
@@ -104,30 +151,31 @@ class GrainFeedback {
   double ns_per_item_ = 0.0;
 };
 
+/// Dynamic parallel for over fixed-size chunks, exposing the chunk bounds
+/// and worker id: body(lo, hi, worker).  Chunk boundaries are deterministic
+/// (lo is always a multiple of `chunk` from begin), so callers can index
+/// per-chunk state as (lo - begin) / chunk — the basis of the engine's
+/// chunked stream compaction.  Workers race only for WHICH chunks they
+/// take, never for bounds.  An optional stop() is polled once per chunk;
+/// returns true iff the whole range ran.
+template <typename ChunkBody, typename Stop = detail::NeverStop>
+bool parallel_chunks(Executor& pool, std::size_t begin, std::size_t end,
+                     std::size_t chunk, ChunkBody&& body, Stop stop = {}) {
+  if (begin >= end) return true;
+  if (chunk == 0) chunk = detail::kDynamicChunk;
+  const bool team = pool.num_threads() > 1 && end - begin > chunk;
+  return detail::run_chunks(pool, begin, end, chunk, team, body, stop);
+}
+
 /// Dynamic (chunk-stealing) parallel for over [begin, end).
 template <typename Body>
 void parallel_for(Executor& pool, std::size_t begin, std::size_t end,
                   Body&& body,
                   std::size_t chunk = detail::kDynamicChunk) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= chunk) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{begin};
-  pool.run_team([&](std::size_t) {
-    for (;;) {
-      // Preemption point: each chunk grab is a spot where the OS scheduler
-      // could interleave workers differently — under simulation the
-      // deterministic scheduler decides here instead.
-      simhook::preempt();
-      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) break;
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }
-  });
+  parallel_chunks(pool, begin, end, chunk,
+                  [&body](std::size_t lo, std::size_t hi, std::size_t) {
+                    for (std::size_t i = lo; i < hi; ++i) body(i);
+                  });
 }
 
 /// Dynamic parallel for whose body also receives the worker id — for loops
@@ -137,27 +185,16 @@ template <typename Body>
 void parallel_for_worker(Executor& pool, std::size_t begin, std::size_t end,
                          Body&& body,
                          std::size_t chunk = detail::kDynamicChunk) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= chunk) {
-    for (std::size_t i = begin; i < end; ++i) body(i, std::size_t{0});
-    return;
-  }
-  std::atomic<std::size_t> next{begin};
-  pool.run_team([&](std::size_t w) {
-    for (;;) {
-      simhook::preempt();
-      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) break;
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      for (std::size_t i = lo; i < hi; ++i) body(i, w);
-    }
-  });
+  parallel_chunks(pool, begin, end, chunk,
+                  [&body](std::size_t lo, std::size_t hi, std::size_t w) {
+                    for (std::size_t i = lo; i < hi; ++i) body(i, w);
+                  });
 }
 
 /// What one parallel_for_adaptive call did.
 struct AdaptiveRun {
   bool dispatched = false;       // a team ran the loop (else the caller did)
+  bool stopped = false;          // stop() cut the loop short
   std::uint64_t elapsed_ns = 0;  // the loop time fed back to the feedback
 };
 
@@ -167,22 +204,26 @@ struct AdaptiveRun {
 /// with similar per-element cost (Boruvka rounds) converge on a grain that
 /// amortizes scheduling without starving load balance.  The body is
 /// body(i), or body(i, worker) for loops that feed per-worker buffers
-/// (ConcurrentBag); an inline run is worker 0.
-template <typename Body>
+/// (ConcurrentBag); an inline run is worker 0.  An optional stop() is
+/// polled once per chunk, inline or on the team; a stopped loop measured
+/// only part of its range, so it leaves the feedback as it was.
+template <typename Body, typename Stop = detail::NeverStop>
 AdaptiveRun parallel_for_adaptive(Executor& pool, std::size_t begin,
                                   std::size_t end, GrainFeedback& feedback,
-                                  Body&& body) {
+                                  Body&& body, Stop stop = {}) {
   if (begin >= end) return {};
   const std::size_t n = end - begin;
   const std::size_t t = pool.num_threads();
   const std::size_t g = feedback.grain(n, t);
   // A team is worth waking only when every worker gets a chunk.
   const bool team = t > 1 && n > (t - 1) * g && !feedback.prefers_serial(n);
-  const auto call = [&body](std::size_t i, std::size_t w) {
-    if constexpr (std::is_invocable_v<Body&, std::size_t, std::size_t>) {
-      body(i, w);
-    } else {
-      body(i);
+  auto chunk_body = [&body](std::size_t lo, std::size_t hi, std::size_t w) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if constexpr (std::is_invocable_v<Body&, std::size_t, std::size_t>) {
+        body(i, w);
+      } else {
+        body(i);
+      }
     }
   };
   if (obs::sched_collecting()) {
@@ -191,14 +232,11 @@ AdaptiveRun parallel_for_adaptive(Executor& pool, std::size_t begin,
                       obs::now_us(), team ? g : n);
   }
   const std::uint64_t t0 = detail::grain_clock_ns();
-  if (team) {
-    parallel_for_worker(pool, begin, end, call, g);
-  } else {
-    for (std::size_t i = begin; i < end; ++i) call(i, std::size_t{0});
-  }
+  const bool done =
+      detail::run_chunks(pool, begin, end, g, team, chunk_body, stop);
   const std::uint64_t elapsed = detail::grain_clock_ns() - t0;
-  feedback.update(n, static_cast<double>(elapsed));
-  return {team, elapsed};
+  if (done) feedback.update(n, static_cast<double>(elapsed));
+  return {team, !done, elapsed};
 }
 
 /// Dynamic parallel for that polls a CancelToken between chunks: when the
@@ -212,32 +250,12 @@ bool parallel_for_interruptible(Executor& pool, std::size_t begin,
                                 std::size_t end, const CancelToken& cancel,
                                 Body&& body,
                                 std::size_t chunk = detail::kDynamicChunk) {
-  if (begin >= end) return true;
-  const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= chunk) {
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-      if (cancel.cancelled()) return false;
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }
-    return true;
-  }
-  std::atomic<std::size_t> next{begin};
-  std::atomic<bool> stopped{false};
-  pool.run_team([&](std::size_t) {
-    for (;;) {
-      simhook::preempt();
-      if (cancel.cancelled()) {
-        stopped.store(true, std::memory_order_relaxed);
-        break;
-      }
-      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) break;
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }
-  });
-  return !stopped.load(std::memory_order_relaxed);
+  return parallel_chunks(
+      pool, begin, end, chunk,
+      [&body](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t i = lo; i < hi; ++i) body(i);
+      },
+      [&cancel] { return cancel.cancelled(); });
 }
 
 /// Static (even pre-split) parallel for over [begin, end).
@@ -259,37 +277,6 @@ void parallel_for_static(Executor& pool, std::size_t begin, std::size_t end,
     const std::size_t lo = begin + n * w / t;
     const std::size_t hi = begin + n * (w + 1) / t;
     for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
-}
-
-/// Dynamic parallel for over fixed-size chunks, exposing the chunk bounds
-/// and worker id: body(lo, hi, worker).  Chunk boundaries are deterministic
-/// (lo is always a multiple of `chunk` from begin), so callers can index
-/// per-chunk state as (lo - begin) / chunk — the basis of the engine's
-/// chunked stream compaction — while per-worker timing enables utilization
-/// probes.  Workers race only for WHICH chunks they take, never for bounds.
-template <typename ChunkBody>
-void parallel_chunks(Executor& pool, std::size_t begin, std::size_t end,
-                     std::size_t chunk, ChunkBody&& body) {
-  if (begin >= end) return;
-  if (chunk == 0) chunk = detail::kDynamicChunk;
-  const std::size_t n = end - begin;
-  if (pool.num_threads() == 1 || n <= chunk) {
-    for (std::size_t lo = begin; lo < end; lo += chunk) {
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      body(lo, hi, std::size_t{0});
-    }
-    return;
-  }
-  std::atomic<std::size_t> next{begin};
-  pool.run_team([&](std::size_t w) {
-    for (;;) {
-      simhook::preempt();
-      const std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= end) break;
-      const std::size_t hi = lo + chunk < end ? lo + chunk : end;
-      body(lo, hi, w);
-    }
   });
 }
 

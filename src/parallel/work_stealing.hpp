@@ -189,54 +189,4 @@ void work_stealing_run(Executor& pool, const std::vector<T>& initial,
   LLPMST_ASSERT(state.pending.load() == 0);
 }
 
-namespace detail {
-/// A contiguous index range scheduled as one stealable work item.
-struct IndexRange {
-  std::size_t lo;
-  std::size_t hi;
-};
-}  // namespace detail
-
-/// Index-range parallel for on the work-stealing runtime — the fallback for
-/// loops whose per-element cost is too skewed for chunked scheduling (e.g.
-/// per-component MWE work where a few giant components dominate a round).
-///
-/// Lazy binary splitting: the range starts as one block per worker; a worker
-/// holding a block larger than 2*grain pushes the far half back onto its own
-/// deque (where idle workers steal it) and keeps halving the near half.
-/// Busy workers therefore never pay more than the split bookkeeping, while a
-/// straggler's remaining work is peeled off in halves by everyone else —
-/// finer-grained than fixed chunks exactly when it matters, coarser when it
-/// does not.
-template <typename Body>
-void parallel_for_stealing(Executor& pool, std::size_t begin,
-                           std::size_t end, std::size_t grain, Body&& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  if (grain == 0) grain = 1;
-  if (pool.num_threads() == 1 || n <= grain) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  const std::size_t workers = pool.num_threads();
-  std::vector<detail::IndexRange> seeds;
-  seeds.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = begin + n * w / workers;
-    const std::size_t hi = begin + n * (w + 1) / workers;
-    if (lo < hi) seeds.push_back({lo, hi});
-  }
-  work_stealing_run<detail::IndexRange>(
-      pool, seeds,
-      [&body, grain](detail::IndexRange r,
-                     WorkStealingContext<detail::IndexRange>& ctx) {
-        while (r.hi - r.lo > 2 * grain) {
-          const std::size_t mid = r.lo + (r.hi - r.lo) / 2;
-          ctx.push({mid, r.hi});
-          r.hi = mid;
-        }
-        for (std::size_t i = r.lo; i < r.hi; ++i) body(i);
-      });
-}
-
 }  // namespace llpmst

@@ -126,8 +126,8 @@ const std::vector<Scenario>& registry() {
        "RMAT a=0.57 (graph500): the paper's workload family at test scale",
        make_rmat_graph500, {.connected = false, .min_components = 1}, "", 0},
       {"rmat-skew-extreme", "rmat-skew",
-       "RMAT a=0.70: hub-dominated degrees, stresses chunked load balance "
-       "and the steal fallback",
+       "RMAT a=0.70: hub-dominated degrees, stresses the adaptive chunked "
+       "sweeps' load balance",
        make_rmat_skew_extreme, {.connected = false, .min_components = 1}, "",
        0},
       {"near-duplicate-weights", "weights",

@@ -1,8 +1,8 @@
 // Cooperative cancellation with deadline support.
 //
 // A CancelToken is a shared flag the coordinator loops poll at natural
-// checkpoints (per sweep, per Boruvka round, per parallel_for chunk) — the
-// hot per-element paths never see it.  Cancellation is *cooperative*: a run
+// checkpoints (per sweep, per parallel_for chunk, per kScanStride steps) —
+// the hot per-element paths never see it.  Cancellation is *cooperative*: a run
 // stops at the next checkpoint, hands back whatever partial state is sound,
 // and records why in its RunOutcome.
 //

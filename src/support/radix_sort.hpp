@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "support/assert.hpp"
+#include "support/cancel.hpp"
 
 namespace llpmst {
 
@@ -24,26 +25,41 @@ inline constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixDigitBits;
 
 /// One stable counting pass: writes `src` to `dst` ordered by the
 /// kRadixDigitBits-wide digit of key(x) that starts at bit `shift`.
-template <typename T, typename Key>
-void radix_pass(std::span<const T> src, T* dst, unsigned shift, Key&& key) {
+/// stop() is polled every kScanStride records of the histogram and of the
+/// scatter; a true answer abandons the pass and returns false, leaving
+/// `src` as it was (and `dst` partly written).
+template <typename T, typename Key, typename Stop>
+bool radix_pass(std::span<const T> src, T* dst, unsigned shift, Key&& key,
+                Stop&& stop) {
   constexpr std::uint64_t kMask = kRadixBuckets - 1;
+  const auto digit = [&key, shift](const T& x) {
+    return (static_cast<std::uint64_t>(key(x)) >> shift) & kMask;
+  };
+  const std::size_t n = src.size();
   std::array<std::size_t, kRadixBuckets> offset{};
-  for (const T& x : src) {
-    ++offset[(static_cast<std::uint64_t>(key(x)) >> shift) & kMask];
+  for (std::size_t lo = 0; lo < n; lo += kScanStride) {
+    if (stop()) return false;
+    const std::size_t hi = lo + kScanStride < n ? lo + kScanStride : n;
+    for (std::size_t i = lo; i < hi; ++i) ++offset[digit(src[i])];
   }
   std::size_t sum = 0;
   for (std::size_t& o : offset) sum += std::exchange(o, sum);
-  for (const T& x : src) {
-    dst[offset[(static_cast<std::uint64_t>(key(x)) >> shift) & kMask]++] = x;
+  for (std::size_t lo = 0; lo < n; lo += kScanStride) {
+    if (stop()) return false;
+    const std::size_t hi = lo + kScanStride < n ? lo + kScanStride : n;
+    for (std::size_t i = lo; i < hi; ++i) dst[offset[digit(src[i])]++] = src[i];
   }
+  return true;
 }
 
 /// Stable LSD radix sort of `data` by key(x).  Digits are kRadixDigitBits
 /// wide from bit 0 (a 24-bit key takes 11 + 11 + 2 bits), up to the highest
 /// bit set in `varying`.  `varying` has a bit set wherever two keys may
 /// differ, and a digit with no varying bit is skipped: its pass would be the
-/// identity.  Before each pass `stop()` is polled; a true answer abandons
-/// the sort and leaves the records unordered.
+/// identity.  Every pass polls `stop()` every kScanStride records (see
+/// radix_pass); a true answer abandons the sort and returns the records,
+/// all present but unordered.  Unstopped callers use the overload below,
+/// whose never-stop lambda the optimizer folds away.
 ///
 /// The passes alternate between `data` and `scratch` (which must be at least
 /// as large); the result is returned as a view of whichever of the two holds
@@ -60,8 +76,9 @@ std::span<T> lsd_radix_sort(std::span<T> data, std::span<T> scratch,
   constexpr std::uint64_t kMask = kRadixBuckets - 1;
   for (unsigned shift = 0; shift < width; shift += kRadixDigitBits) {
     if (((varying >> shift) & kMask) == 0) continue;
-    if (stop()) break;
-    radix_pass(std::span<const T>(in), out.data(), shift, key);
+    if (!radix_pass(std::span<const T>(in), out.data(), shift, key, stop)) {
+      break;
+    }
     std::swap(in, out);
   }
   return in;

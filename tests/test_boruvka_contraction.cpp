@@ -1,6 +1,7 @@
 // Round-by-round invariants of the Boruvka engine's fused contraction path
 // (self-loop drop + exact pair-table bundle minimum + dense relabeling),
-// plus a wide randomized cross-check against kruskal.
+// plus a wide randomized cross-check against kruskal, and the partial forest
+// a cancelled run returns.
 //
 // The checks lean on three facts the engine must preserve:
 //   * an MSF edge is emitted in the SAME round its endpoints merge, becomes
@@ -16,8 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,7 +31,9 @@
 #include "graph/generators/special.hpp"
 #include "llp/llp_boruvka.hpp"
 #include "mst/kruskal.hpp"
+#include "mst/parallel_boruvka.hpp"
 #include "scenario/adversarial.hpp"
+#include "sim/sim_executor.hpp"
 #include "test_util.hpp"
 
 namespace llpmst {
@@ -167,28 +173,23 @@ TEST_P(BoruvkaContraction, RoundInvariantsAcrossAllEngineConfigs) {
   const MstResult reference = kruskal(g);
   for (const auto jumping :
        {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
-    for (const auto lb :
-         {BoruvkaLoadBalance::kAdaptive, BoruvkaLoadBalance::kWorkStealing,
-          BoruvkaLoadBalance::kFixedChunk}) {
-      SCOPED_TRACE(testing::Message()
-                   << "async=" << (jumping == PointerJumping::kAsynchronous)
-                   << " lb=" << static_cast<int>(lb));
-      BoruvkaConfig c;
-      c.jumping = jumping;
-      c.load_balance = lb;
-      RoundLog log;
-      const MstResult r = run_logged(g, ctx_, c, log);
-      ASSERT_EQ(r.edges, reference.edges);
-      check_rounds(g, reference, log);
-      EXPECT_TRUE(any_pair_table(log));
-    }
+    SCOPED_TRACE(testing::Message()
+                 << "async=" << (jumping == PointerJumping::kAsynchronous));
+    BoruvkaConfig c;
+    c.jumping = jumping;
+    RoundLog log;
+    const MstResult r = run_logged(g, ctx_, c, log);
+    ASSERT_EQ(r.edges, reference.edges);
+    check_rounds(g, reference, log);
+    EXPECT_TRUE(any_pair_table(log));
   }
 }
 
 TEST_P(BoruvkaContraction, ScratchReuseAcrossRunsIsClean) {
-  // One scratch driven through graphs of very different shapes: stale
-  // capacity from a bigger earlier run must never leak into a later one.
-  BoruvkaScratch scratch;
+  // One context's scratch driven through graphs of very different shapes,
+  // by both jumping flavours: stale capacity (and learned grain) from a
+  // bigger earlier run must never leak into a later one.
+  const BoruvkaScratch& scratch = ctx_.scratch().get<BoruvkaScratch>();
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     ErdosRenyiParams big;
     big.num_vertices = 1500;
@@ -197,12 +198,13 @@ TEST_P(BoruvkaContraction, ScratchReuseAcrossRunsIsClean) {
     const CsrGraph g1 = csr(generate_erdos_renyi(big));
     const CsrGraph g2 = csr(make_forest(5, 30, seed));
     for (const CsrGraph* g : {&g1, &g2}) {
-      BoruvkaConfig c;
-      c.scratch = &scratch;
-      const MstResult r = llp_boruvka_configured(*g, ctx_, c);
-      EXPECT_EQ(r.edges, kruskal(*g).edges);
+      EXPECT_EQ(llp_boruvka(*g, ctx_).edges, kruskal(*g).edges);
+      EXPECT_EQ(parallel_boruvka(*g, ctx_).edges, kruskal(*g).edges);
     }
   }
+  // The runs above all went through the context's one scratch.
+  EXPECT_EQ(&scratch, &ctx_.scratch().get<BoruvkaScratch>());
+  EXPECT_GE(scratch.msf_edges.capacity(), 1499u);
 }
 
 TEST_P(BoruvkaContraction, HundredSeedCrossCheckVsKruskal) {
@@ -315,6 +317,84 @@ TEST(BoruvkaContractionDeterminism, SameRoundsAndForestAt1TAnd4T) {
         EXPECT_EQ(log1.dropped[i], log4.dropped[i]);
       }
     }
+  }
+}
+
+// A cancel that lands mid-run stops the engine within one chunk of the sweep
+// that sees it.  The returned forest is what hook emitted so far: component
+// MWEs only, so a subset of the MSF, with the token's outcome.  On the
+// thread pools the round observer cancels after round 1 and round 2's first
+// sweep stops; under the simulator a timeline cancels at the scheduler
+// decision halfway through a full run, i.e. inside some sweep's team, and
+// the run must end a few decisions later.
+class BoruvkaCancel : public testing::TestWithParam<std::string> {};
+INSTANTIATE_TEST_SUITE_P(Executors, BoruvkaCancel,
+                         testing::Values("1", "4", "sim"));
+
+TEST_P(BoruvkaCancel, MidRunCancelReturnsASubsetOfTheMsf) {
+  RmatParams rp;
+  rp.scale = 12;
+  rp.seed = 7;
+  const CsrGraph g = csr(generate_rmat(rp));
+  const MstResult reference = kruskal(g);
+  for (const auto jumping :
+       {PointerJumping::kAsynchronous, PointerJumping::kSynchronized}) {
+    SCOPED_TRACE(testing::Message()
+                 << "async=" << (jumping == PointerJumping::kAsynchronous));
+    BoruvkaConfig c;
+    c.jumping = jumping;
+    CancelToken token;
+    std::unique_ptr<Executor> executor;
+    const sim::SimExecutor* sim_executor = nullptr;
+    std::uint64_t cancel_at = 0;
+    if (GetParam() == "sim") {
+      sim::SimExecutor::Options o;
+      o.seed = 3;
+      o.workers = 4;
+      std::uint64_t full_run = 0;
+      {
+        sim::SimExecutor probe(o);
+        RunContext ctx;
+        ctx.attach_executor(&probe);
+        ASSERT_EQ(llp_boruvka_configured(g, ctx, c).edges, reference.edges);
+        full_run = probe.decisions();
+      }
+      ASSERT_GT(full_run, 4u);
+      cancel_at = full_run / 2;
+      char spec[48];
+      std::snprintf(spec, sizeof spec, "@%llu: cancel",
+                    static_cast<unsigned long long>(cancel_at));
+      o.timeline = spec;
+      auto sim = std::make_unique<sim::SimExecutor>(o);
+      ASSERT_TRUE(sim->timeline_error().empty());
+      sim->bind_cancel(&token);
+      sim_executor = sim.get();
+      executor = std::move(sim);
+    } else {
+      executor = std::make_unique<ThreadPool>(std::stoul(GetParam()));
+      c.round_observer = [&token](const BoruvkaRoundStats& info) {
+        if (info.round == 1) token.cancel();
+      };
+    }
+    RunContext ctx;
+    ctx.attach_executor(executor.get());
+    ctx.set_cancel(&token);
+    const MstResult r = llp_boruvka_configured(g, ctx, c);
+    EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
+    EXPECT_LT(r.edges.size(), reference.edges.size());
+    EXPECT_FALSE(r.edges.empty());
+    if (sim_executor != nullptr) {
+      // A few decisions after the cancel: each worker's next chunk grab and
+      // the join, or for synchronized jumping the rest of one jump
+      // iteration; never the rest of the round.
+      EXPECT_LE(sim_executor->decisions(), cancel_at + 16);
+    } else {
+      // Round 2 began, and its first sweep stopped.
+      EXPECT_EQ(r.stats.rounds, 2u);
+    }
+    // Both edge lists are in ascending id order (finalize_result).
+    EXPECT_TRUE(std::includes(reference.edges.begin(), reference.edges.end(),
+                              r.edges.begin(), r.edges.end()));
   }
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """End-to-end tests for the run-report side of tools/check_report_schema.py:
-synthesizes llpmst-run-report documents (schema_version 4, the only one
+synthesizes llpmst-run-report documents (schema_version 5, the only one
 accepted) and bench records with the optional profile section in temp
 files and asserts on the checker's exit status.  The "profile" and
 "bandwidth" sections must accept null, the {"available": false, "reason"}
@@ -25,7 +25,7 @@ def make_report():
     """A schema-complete llpmst-run-report."""
     return {
         "schema": "llpmst-run-report",
-        "schema_version": 4,
+        "schema_version": 5,
         "run": {
             "tool": "test", "algorithm": "llp-prim", "threads": 2,
             "wall_ms": 1.5, "outcome": "ok", "fallback_reason": "",
@@ -134,7 +134,7 @@ class CheckReportSchemaTest(unittest.TestCase):
         self.assert_ok(make_report())
 
     def test_rejects_unknown_version(self):
-        for version in (1, 2, 3, 5):
+        for version in (1, 2, 3, 4, 6):
             doc = make_report()
             doc["schema_version"] = version
             self.assert_fails(doc, "schema_version")

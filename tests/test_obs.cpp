@@ -487,7 +487,7 @@ TEST(ObsReport, SchemaV4CarriesHwNullMemRoundsAndScheduler) {
   const std::string report =
       obs::build_run_report(test_run_info(), nullptr, nullptr);
   EXPECT_TRUE(json_balanced(report)) << report;
-  EXPECT_NE(report.find("\"schema_version\":4"), std::string::npos);
+  EXPECT_NE(report.find("\"schema_version\":5"), std::string::npos);
   // --hw-counters not requested: hw must be JSON null, not omitted.
   EXPECT_NE(report.find("\"hw\":null"), std::string::npos) << report;
   EXPECT_NE(report.find("\"mem\":{\"peak_rss_bytes\":"), std::string::npos)
@@ -515,7 +515,6 @@ TEST(ObsReport, SchemaV3SerializesRecordedRounds) {
   r.edges = 13;
   r.advances = 17;
   r.wall_ms = 0.25;
-  r.imbalance = 1.5;
   obs::record_round(r);
   obs::set_enabled(false);
   const std::string report =
@@ -524,7 +523,9 @@ TEST(ObsReport, SchemaV3SerializesRecordedRounds) {
   EXPECT_NE(report.find("\"label\":\"report_site\""), std::string::npos)
       << report;
   EXPECT_NE(report.find("\"round\":7"), std::string::npos) << report;
-  EXPECT_NE(report.find("\"imbalance\":1.5"), std::string::npos) << report;
+  // A schema-5 round object ends at wall_ms.
+  EXPECT_NE(report.find("\"wall_ms\":0.250}"), std::string::npos) << report;
+  EXPECT_EQ(report.find("imbalance"), std::string::npos) << report;
   obs::reset_metrics();
 }
 
@@ -675,7 +676,6 @@ TEST(ObsRounds, RecordSnapshotAndResetHonourTheEnabledGate) {
   r.edges = 99;
   r.advances = 5;
   r.wall_ms = 1.25;
-  r.imbalance = 2.0;
   obs::record_round(r);
   obs::set_enabled(false);
 
@@ -687,7 +687,6 @@ TEST(ObsRounds, RecordSnapshotAndResetHonourTheEnabledGate) {
   EXPECT_EQ(rounds[0].edges, 99u);
   EXPECT_EQ(rounds[0].advances, 5u);
   EXPECT_DOUBLE_EQ(rounds[0].wall_ms, 1.25);
-  EXPECT_DOUBLE_EQ(rounds[0].imbalance, 2.0);
   obs::reset_metrics();
   EXPECT_TRUE(obs::snapshot_rounds().empty());
 }

@@ -169,6 +169,66 @@ TEST_P(ParallelPrimitives, AdaptiveForRunsInlineBelowTheSerialCutoff) {
       << "serial-cutoff path dispatched a team anyway";
 }
 
+TEST_P(ParallelPrimitives, ChunksAreAlignedAndCoverTheRangeOnce) {
+  const std::size_t begin = 7;
+  const std::size_t end = begin + 10007;
+  const std::size_t chunk = 100;
+  std::vector<std::atomic<int>> hits(end);
+  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+  std::atomic<std::size_t> misaligned{0};
+  const bool done = parallel_chunks(
+      pool_, begin, end, chunk,
+      [&](std::size_t lo, std::size_t hi, std::size_t w) {
+        const std::size_t want_hi = lo + chunk < end ? lo + chunk : end;
+        if ((lo - begin) % chunk != 0 || hi != want_hi ||
+            w >= pool_.num_threads()) {
+          misaligned.fetch_add(1, std::memory_order_relaxed);
+        }
+        for (std::size_t i = lo; i < hi; ++i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+  EXPECT_TRUE(done);
+  EXPECT_EQ(misaligned.load(), 0u);
+  for (std::size_t i = 0; i < end; ++i) {
+    ASSERT_EQ(hits[i].load(), i < begin ? 0 : 1) << "index " << i;
+  }
+}
+
+TEST_P(ParallelPrimitives, AdaptiveForStopsWithinOneChunkPerWorker) {
+  const std::size_t t = pool_.num_threads();
+  // Inline: measured-cheap elements run on the caller, chunk by chunk, and
+  // a stop seen after the first chunk ends the loop there.  Team: a fresh
+  // feedback dispatches, and each worker finishes at most the chunk it
+  // holds once the stop is raised.
+  GrainFeedback cheap;
+  cheap.update(1u << 20, 1000.0);
+  GrainFeedback fresh;
+  for (GrainFeedback* fb : {&cheap, &fresh}) {
+    const bool inline_path = fb == &cheap;
+    SCOPED_TRACE(inline_path ? "inline" : "team");
+    const std::size_t n = inline_path ? 4096 : std::size_t{1} << 16;
+    ASSERT_EQ(fb->prefers_serial(n), inline_path);
+    const std::size_t g = fb->grain(n, t);
+    const double cost_before = fb->ns_per_item();
+    std::atomic<std::size_t> processed{0};
+    std::atomic<bool> raised{false};
+    const AdaptiveRun run = parallel_for_adaptive(
+        pool_, 0, n, *fb,
+        [&](std::size_t) {
+          processed.fetch_add(1, std::memory_order_relaxed);
+          raised.store(true, std::memory_order_relaxed);
+        },
+        [&] { return raised.load(std::memory_order_relaxed); });
+    EXPECT_TRUE(run.stopped);
+    EXPECT_EQ(run.dispatched, !inline_path && t > 1);
+    EXPECT_LE(processed.load(), (inline_path ? 1 : t) * g);
+    EXPECT_LT(processed.load(), n);
+    // A stopped loop measured only part of its range: no feedback update.
+    EXPECT_DOUBLE_EQ(fb->ns_per_item(), cost_before);
+  }
+}
+
 TEST_P(ParallelPrimitives, ReduceMatchesSequential) {
   const std::size_t n = 123457;
   std::vector<std::uint64_t> data(n);

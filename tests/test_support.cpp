@@ -1,16 +1,53 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "support/cancel.hpp"
 #include "support/cli.hpp"
+#include "support/radix_sort.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 
 namespace llpmst {
 namespace {
+
+// ------------------------------------------------------------ radix sort
+
+// A budget stops a radix sort within kScanStride records: every pass polls
+// stop() once per stride of its histogram and of its scatter, and a stopped
+// sort hands back every record, unordered.  10000 records take 10 polls per
+// loop, so poll 3 lands in pass 1's histogram, poll 15 in its scatter and
+// poll 25 in pass 2's histogram.
+TEST(RadixSort, StopsWithinAStrideAndKeepsEveryRecord) {
+  const std::size_t n = 10000;
+  ASSERT_EQ((n + kScanStride - 1) / kScanStride, 10u);
+  std::vector<std::uint64_t> input(n);
+  Xoshiro256 rng(5);
+  for (std::uint64_t& x : input) x = rng.next() & 0xffffffffu;
+  std::vector<std::uint64_t> sorted_input = input;
+  std::sort(sorted_input.begin(), sorted_input.end());
+  for (const std::size_t stop_at : {3u, 15u, 25u}) {
+    SCOPED_TRACE(testing::Message() << "stop at poll " << stop_at);
+    std::vector<std::uint64_t> data = input;
+    std::vector<std::uint64_t> scratch(n);
+    std::size_t polls = 0;
+    const std::span<std::uint64_t> out = lsd_radix_sort(
+        std::span<std::uint64_t>(data), std::span<std::uint64_t>(scratch),
+        0xffffffffu, [](std::uint64_t x) { return x; },
+        [&] { return ++polls == stop_at; });
+    EXPECT_EQ(polls, stop_at) << "polled again after a true answer";
+    std::vector<std::uint64_t> got(out.begin(), out.end());
+    EXPECT_NE(got, sorted_input);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, sorted_input);
+  }
+}
 
 // ---------------------------------------------------------------- random
 

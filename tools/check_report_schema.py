@@ -5,7 +5,7 @@
 
 Understands three document kinds, dispatched on the "schema" field:
 
-  * llpmst-run-report (schema_version 4, the only current version) — the
+  * llpmst-run-report (schema_version 5, the only current version) — the
     --metrics-json run report: run metadata, "algo", the "hw" (hardware
     counters, null-safe) and "mem" (peak RSS + allocation stats)
     sections, counters/gauges/phases, the "rounds" array (per-round
@@ -156,10 +156,9 @@ def check_rounds(rounds, expect):
             v = r.get(key)
             expect(isinstance(v, int) and v >= 0,
                    f"rounds[{i}].{key} = {v!r} is not a non-negative integer")
-        for key in ("wall_ms", "imbalance"):
-            v = r.get(key)
-            expect(isinstance(v, (int, float)) and v >= 0,
-                   f"rounds[{i}].{key} = {v!r} is not a non-negative number")
+        v = r.get("wall_ms")
+        expect(isinstance(v, (int, float)) and v >= 0,
+               f"rounds[{i}].wall_ms = {v!r} is not a non-negative number")
 
 
 def check_scheduler(sched, expect):
@@ -395,8 +394,8 @@ def check_serve_response(doc, errors, where):
 def check_run_report(doc, errors, where):
     expect = make_expect(errors, where)
     version = doc.get("schema_version")
-    if not expect(version == 4,
-                  f"schema_version is {version!r} (expected 4)"):
+    if not expect(version == 5,
+                  f"schema_version is {version!r} (expected 5)"):
         return
 
     run = doc.get("run")

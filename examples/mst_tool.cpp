@@ -560,13 +560,24 @@ int main(int argc, char** argv) {
 
   // --- Verify.  The ctx overloads cross-check against (and seed) the
   // context's cached component count, so an auto run's connectivity check
-  // is not repeated here.
-  const VerifyResult shape = verify_spanning_forest(g, result, ctx);
-  if (!shape.ok) {
+  // is not repeated here.  A run that stopped early hands back a partial
+  // forest, which cannot span: only its shape is checked, and its outcome
+  // sets the exit code once the artefacts below are written.
+  const bool complete = result.stats.outcome == RunOutcome::kOk;
+  if (!complete) {
+    const VerifyResult partial = verify_partial_forest(g, result);
+    if (!partial.ok) {
+      std::fprintf(stderr, "PARTIAL FOREST CHECK FAILED: %s\n",
+                   partial.error.c_str());
+      return 1;
+    }
+    std::printf("Verified  : partial forest is acyclic (no spanning check "
+                "on a stopped run)\n");
+  } else if (const VerifyResult shape = verify_spanning_forest(g, result, ctx);
+             !shape.ok) {
     std::fprintf(stderr, "SPANNING CHECK FAILED: %s\n", shape.error.c_str());
     return 1;
-  }
-  if (verify) {
+  } else if (verify) {
     Timer vt;
     const VerifyResult full = verify_msf(g, result, ctx);
     if (!full.ok) {
@@ -581,8 +592,14 @@ int main(int argc, char** argv) {
                 "exact minimality certificate)\n");
   }
 
-  // --- Persist.
-  if (!output.empty()) {
+  // --- Persist.  A stopped run's partial forest is not the MSF, so no
+  // forest file is written for it: a file at --output is always a whole
+  // forest.
+  if (!output.empty() && !complete) {
+    std::printf("Skipped   : %s (the run stopped; its partial forest is "
+                "not written)\n",
+                output.c_str());
+  } else if (!output.empty()) {
     EdgeList tree(g.num_vertices());
     for (const EdgeId e : result.edges) {
       const WeightedEdge& we = g.edge(e);
@@ -677,5 +694,5 @@ int main(int argc, char** argv) {
     std::printf("Stats     : %s\n", stats_out.c_str());
   }
   if (hw_counters) obs::hw_end();
-  return 0;
+  return complete ? 0 : 1;
 }

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "parallel/parallel_for.hpp"
+#include "parallel/partition.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/radix_sort.hpp"
 
@@ -84,31 +85,19 @@ CsrGraph CsrGraph::build(const EdgeList& list, Executor* pool) {
   Executor& ex = pool != nullptr ? *pool : inline_pool;
   const std::size_t workers = ex.num_threads();
 
-  // Level 1: each worker takes one contiguous id range of edges, counts its
-  // arcs per block, then writes each arc's (target, priority) — and its
-  // source's row inside the block, into mwe_flags — to its own cursor in the
-  // block's slice of the final arrays.  Cursors are laid out block-major,
-  // worker-minor, so every slice is filled in edge-id order.
-  std::vector<std::uint64_t> cursor(workers * num_blocks, 0);
-  parallel_blocks(ex, 0, m, [&](std::size_t lo, std::size_t hi, std::size_t w) {
-    std::uint64_t* count = cursor.data() + w * num_blocks;
+  // Level 1: a stable partition of the arcs into blocks, in edge-id order
+  // (see BucketPartition).  Each arc lands with its (target, priority) and
+  // its source's row inside the block, parked in mwe_flags.
+  BucketPartition level1(&ex, m, num_blocks);
+  level1.count([&](std::size_t lo, std::size_t hi, std::uint64_t* count) {
     for (std::size_t i = lo; i < hi; ++i) {
       ++count[edges[i].u >> sh];
       ++count[edges[i].v >> sh];
     }
   });
-  std::vector<std::uint64_t> block_begin(num_blocks + 1);
-  std::uint64_t at = 0;
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    block_begin[b] = at;
-    for (std::size_t w = 0; w < workers; ++w) {
-      at += std::exchange(cursor[w * num_blocks + b], at);
-    }
-  }
-  block_begin[num_blocks] = at;
+  const std::vector<std::uint64_t>& block_begin = level1.begin();
   const VertexId row_mask = (VertexId{1} << sh) - 1;
-  parallel_blocks(ex, 0, m, [&](std::size_t lo, std::size_t hi, std::size_t w) {
-    std::uint64_t* next = cursor.data() + w * num_blocks;
+  level1.place([&](std::size_t lo, std::size_t hi, std::uint64_t* next) {
     for (std::size_t i = lo; i < hi; ++i) {
       const WeightedEdge& e = edges[i];
       const EdgePriority p = make_priority(e.w, static_cast<EdgeId>(i));

@@ -100,7 +100,8 @@ AutoMstResult minimum_spanning_forest(const CsrGraph& g, RunContext& ctx,
       // The fallback must complete even when the run's DEADLINE already
       // expired (that expiry is why we are here), so it polls only the
       // caller's own token: a user cancel arriving mid-fallback still
-      // stops the scan.
+      // stops the scan.  It runs with no executor, so a fallback from a
+      // pool fault never touches the pool.
       out.result = kruskal_cancellable(g, ctx.external_cancel());
     } else {
       // No fallback: surface the partial result; the caller inspects

@@ -76,7 +76,11 @@ struct MstResult {
 
 /// Puts edge ids in ascending order through an m-bit bitmap (no sort), sums
 /// their weights (overflow-checked), and derives num_trees.  Every
-/// algorithm calls this once at the end.
-void finalize_result(const CsrGraph& g, MstResult& r);
+/// algorithm calls this once at the end.  A caller that summed the weights
+/// into r.total_weight / r.weight_overflow while choosing the edges passes
+/// `weights_summed`, which skips reading g.edge(e).w for every forest edge
+/// (a second pass over the edge array for a caller that has the weights).
+void finalize_result(const CsrGraph& g, MstResult& r,
+                     bool weights_summed = false);
 
 }  // namespace llpmst

@@ -12,10 +12,11 @@ namespace llpmst {
 
 namespace {
 
-/// Shape + spanning check; on success also reports the component count its
-/// union-find derived (a free byproduct the ctx overloads cache).
-VerifyResult spanning_impl(const CsrGraph& g, const MstResult& r,
-                           std::size_t* components_out) {
+/// Shape check, plus the spanning check when `spanning`; on success also
+/// reports the component count its union-find derived (a free byproduct the
+/// ctx overloads cache).
+VerifyResult forest_impl(const CsrGraph& g, const MstResult& r, bool spanning,
+                         std::size_t* components_out) {
   const std::size_t n = g.num_vertices();
   const std::size_t m = g.num_edges();
 
@@ -46,11 +47,14 @@ VerifyResult spanning_impl(const CsrGraph& g, const MstResult& r,
     return {false, "total_weight does not match the edge set"};
   }
 
-  // Spanning: same number of components as the input graph, and every input
-  // edge must stay within one forest component.
-  for (const WeightedEdge& we : g.edges()) {
-    if (uf.find(we.u) != uf.find(we.v)) {
-      return {false, "forest does not span a connected component"};
+  // Spanning: every input edge must stay within one forest component, so
+  // the forest has as many components as the input graph.  A partial forest
+  // skips this; its num_trees is then its own component count.
+  if (spanning) {
+    for (const WeightedEdge& we : g.edges()) {
+      if (uf.find(we.u) != uf.find(we.v)) {
+        return {false, "forest does not span a connected component"};
+      }
     }
   }
   if (r.num_trees != uf.num_sets()) {
@@ -84,7 +88,11 @@ VerifyResult cycle_property(const CsrGraph& g, const MstResult& r) {
 }  // namespace
 
 VerifyResult verify_spanning_forest(const CsrGraph& g, const MstResult& r) {
-  return spanning_impl(g, r, nullptr);
+  return forest_impl(g, r, /*spanning=*/true, nullptr);
+}
+
+VerifyResult verify_partial_forest(const CsrGraph& g, const MstResult& r) {
+  return forest_impl(g, r, /*spanning=*/false, nullptr);
 }
 
 VerifyResult verify_spanning_forest(const CsrGraph& g, const MstResult& r,
@@ -95,7 +103,7 @@ VerifyResult verify_spanning_forest(const CsrGraph& g, const MstResult& r,
     return {false, "num_trees does not match the component count"};
   }
   std::size_t components = 0;
-  VerifyResult v = spanning_impl(g, r, &components);
+  VerifyResult v = forest_impl(g, r, /*spanning=*/true, &components);
   if (v.ok) ctx.seed_components(g, components);
   return v;
 }

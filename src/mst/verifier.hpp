@@ -36,6 +36,12 @@ struct VerifyResult {
 [[nodiscard]] VerifyResult verify_spanning_forest(const CsrGraph& g,
                                                   const MstResult& r);
 
+/// Shape only, for the partial forest of a run that stopped early: edge ids
+/// valid and distinct, the edge set acyclic, and total_weight / num_trees
+/// consistent with it.  No spanning or minimality check; O(n + |edges|).
+[[nodiscard]] VerifyResult verify_partial_forest(const CsrGraph& g,
+                                                 const MstResult& r);
+
 /// Context-aware variants: cross-check the forest's tree count against the
 /// RunContext's cached connectivity answer when one exists (an mst::auto run
 /// through the same context already computed it — a disagreement fails fast

@@ -41,15 +41,38 @@ void tracked_free(void* p) noexcept {
 }  // namespace
 
 // Replacement global allocation functions (must live at global scope).
-// The nothrow and aligned variants are deliberately not replaced: the
-// default nothrow operator new forwards to this one, and aligned
-// allocations keep the (untracked) default — safe, merely uncounted.
+// The nothrow variants are replaced too: the standard library's default
+// forwards to the throwing one, but a sanitizer runtime interposes its own,
+// whose blocks the delete below would then hand to free() — ASan reports
+// that as an alloc-dealloc mismatch (std::stable_sort's temporary buffer
+// takes that path).  Aligned allocations keep the (untracked) default —
+// safe, merely uncounted.
 void* operator new(std::size_t size) { return tracked_alloc(size); }
 void* operator new[](std::size_t size) { return tracked_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return tracked_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return tracked_alloc(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 void operator delete(void* p) noexcept { tracked_free(p); }
 void operator delete[](void* p) noexcept { tracked_free(p); }
 void operator delete(void* p, std::size_t) noexcept { tracked_free(p); }
 void operator delete[](void* p, std::size_t) noexcept { tracked_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  tracked_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  tracked_free(p);
+}
 
 #endif  // LLPMST_OBS
 

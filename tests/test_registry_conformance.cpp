@@ -126,8 +126,9 @@ TEST(RegistryInvariants, NamesAreUniqueNonEmptyAndLookupRoundTrips) {
 
 TEST(RegistryInvariants, CapabilityFlagsMatchKnownEntries) {
   // `parallel` is the one flag; it says whether the entry uses the pool.
-  const std::set<std::string> parallel{"filter-kruskal", "parallel-boruvka",
-                                       "llp-prim-parallel", "llp-boruvka"};
+  const std::set<std::string> parallel{"kruskal", "filter-kruskal",
+                                       "parallel-boruvka", "llp-prim-parallel",
+                                       "llp-boruvka"};
   for (const MstAlgorithm& a : mst_algorithms()) {
     EXPECT_EQ(a.caps.parallel, parallel.count(a.name) == 1) << a.name;
   }

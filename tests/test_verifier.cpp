@@ -104,6 +104,46 @@ TEST(Verifier, RejectsWrongTreeCount) {
   EXPECT_FALSE(verify_spanning_forest(g, r).ok);
 }
 
+TEST(Verifier, PartialForestChecksShapeButNotSpanning) {
+  // A run that stopped early hands back part of the forest: acyclic, with
+  // a weight and tree count that match its edges, but not spanning.
+  ErdosRenyiParams p;
+  p.num_vertices = 200;
+  p.num_edges = 700;
+  p.seed = 6;
+  const CsrGraph g = csr(generate_erdos_renyi(p));
+  const MstResult full = reference_msf(g);
+  MstResult r;
+  r.edges.assign(full.edges.begin(),
+                 full.edges.begin() + static_cast<std::ptrdiff_t>(
+                                          full.edges.size() / 2));
+  finalize_result(g, r);
+  const VerifyResult partial = verify_partial_forest(g, r);
+  EXPECT_TRUE(partial.ok) << partial.error;
+  EXPECT_FALSE(verify_spanning_forest(g, r).ok);
+  EXPECT_TRUE(verify_partial_forest(g, full).ok);
+
+  MstResult wrong_count = r;
+  wrong_count.num_trees += 1;
+  EXPECT_FALSE(verify_partial_forest(g, wrong_count).ok);
+  MstResult wrong_weight = r;
+  wrong_weight.total_weight += 1;
+  EXPECT_FALSE(verify_partial_forest(g, wrong_weight).ok);
+
+  // Every edge outside a spanning forest closes a cycle with it.
+  MstResult cyclic = full;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (!std::binary_search(full.edges.begin(), full.edges.end(), e)) {
+      cyclic.edges.push_back(e);
+      break;
+    }
+  }
+  finalize_result(g, cyclic);
+  const VerifyResult v = verify_partial_forest(g, cyclic);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("cycle"), std::string::npos);
+}
+
 TEST(Verifier, RejectsNonMinimalSpanningTree) {
   // Build a spanning tree that is valid but not minimal: swap a tree edge
   // for a heavier non-tree edge that keeps the graph spanning.
@@ -205,6 +245,25 @@ TEST(FinalizeResult, AnyInputOrderGivesTheAscendingForest) {
     EXPECT_EQ(r.num_trees, reference.num_trees);
     EXPECT_TRUE(verify_msf(g, r).ok);
   }
+}
+
+TEST(FinalizeResult, SummedWeightsAreKept) {
+  // A caller that summed the weights while choosing the edges (Kruskal,
+  // from its records) passes weights_summed: the ids are still put in
+  // ascending order, and its total stands as given.
+  const CsrGraph g = csr(make_paper_figure1());
+  const MstResult reference = reference_msf(g);
+  MstResult r;
+  r.edges.assign(reference.edges.rbegin(), reference.edges.rend());
+  r.total_weight = reference.total_weight;
+  finalize_result(g, r, /*weights_summed=*/true);
+  EXPECT_EQ(r.edges, reference.edges);
+  EXPECT_EQ(r.total_weight, reference.total_weight);
+  EXPECT_EQ(r.num_trees, reference.num_trees);
+  r.total_weight += 1;
+  finalize_result(g, r, /*weights_summed=*/true);
+  EXPECT_EQ(r.total_weight, reference.total_weight + 1);
+  EXPECT_FALSE(verify_spanning_forest(g, r).ok);
 }
 
 TEST(FinalizeResult, EmptyForest) {

@@ -3,7 +3,6 @@
 // the concurrent bag the LLP-Prim R set uses.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <vector>
 
 #include "parallel/concurrent_bag.hpp"
@@ -12,7 +11,6 @@
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/random.hpp"
 
 namespace {
@@ -116,24 +114,6 @@ void bm_parallel_sort(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
-void bm_work_stealing(benchmark::State& state) {
-  // Chain-with-leaves workload: heavy skew, exercises stealing.
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    std::atomic<std::uint64_t> sink{0};
-    work_stealing_run<std::uint32_t>(
-        pool, {0u},
-        [&](std::uint32_t item, WorkStealingContext<std::uint32_t>& ctx) {
-          sink.fetch_add(item, std::memory_order_relaxed);
-          if (item < 20000) {
-            ctx.push(item + 1);
-            ctx.push(item + 1000000);  // leaf
-          }
-        });
-    benchmark::DoNotOptimize(sink.load());
-  }
-}
-
 }  // namespace
 
 BENCHMARK(bm_team_dispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
@@ -143,6 +123,5 @@ BENCHMARK(bm_exclusive_scan)->Arg(1)->Arg(4);
 BENCHMARK(bm_parallel_filter)->Arg(1)->Arg(4);
 BENCHMARK(bm_concurrent_bag)->Arg(1)->Arg(4);
 BENCHMARK(bm_parallel_sort)->Arg(1)->Arg(4);
-BENCHMARK(bm_work_stealing)->Arg(1)->Arg(4);
 
 BENCHMARK_MAIN();

@@ -39,8 +39,7 @@ struct BenchRecord {
   bool has_hw = false;    // ... unless the group was running
   obs::MemSample mem;     // alloc_* are deltas across the timed reps;
   bool has_mem = false;   // ... unless the allocator hooks are compiled out
-  double sched_util = 0;  // scheduler utilization across the timed reps;
-  double steal_rate = 0;  // ... and steal success rate,
+  double sched_util = 0;   // scheduler utilization across the timed reps,
   bool has_sched = false;  // ... unless obs is compiled out / no events
   // --profile: the top-3 hottest phase paths by profiler samples across
   // the timed reps, and the estimated DRAM bandwidth (needs hw).
@@ -166,8 +165,7 @@ std::string render_record(const std::string& bench, const BenchRecord& r) {
   // worth surfacing, but too noisy to fail CI on.
   if (r.has_sched) {
     std::snprintf(buf, sizeof buf,
-                  ",\"sched\":{\"utilization\":%.4f,\"steal_rate\":%.4f}",
-                  r.sched_util, r.steal_rate);
+                  ",\"sched\":{\"utilization\":%.4f}", r.sched_util);
     out += buf;
   } else {
     out += ",\"sched\":null";
@@ -315,7 +313,6 @@ BenchMeasurement measure_mst(const std::string& name, const CsrGraph& g,
       const obs::SchedulerSummary ss = obs::scheduler_summary();
       if (ss.has_events) {
         r.sched_util = ss.utilization;
-        r.steal_rate = ss.steal_success_rate;
         r.has_sched = true;
       }
     }

@@ -264,8 +264,7 @@ MstResult run_kruskal(const CsrGraph& g, const CancelToken* cancel,
   // Walk the buckets in weight order: sort each in cache, then unite its
   // records.  Stable LSD passes over the weight bits below the digit keep
   // the id order the partition left, so each bucket ends in (weight, id)
-  // order; a hub is sorted by priority in place instead.  The forest's
-  // weight is summed from the records, so no edge is read again.
+  // order; a hub is sorted by priority in place instead.
   MstResult r;
   r.edges.reserve(n > 0 ? n - 1 : 0);
   {
@@ -318,11 +317,7 @@ MstResult run_kruskal(const CsrGraph& g, const CancelToken* cancel,
             uf.prefetch(bucket[i + kParentPrefetchDistance].v);
           }
           if (uf.unite(bucket[i].u, bucket[i].v)) {
-            const EdgePriority p = bucket[i].priority;
-            r.edges.push_back(priority_edge(p));
-            if (!checked_weight_add(r.total_weight, priority_weight(p))) {
-              r.weight_overflow = true;
-            }
+            r.edges.push_back(priority_edge(bucket[i].priority));
             if (r.edges.size() + 1 == n) {  // spanning tree complete
               done = true;
               break;
@@ -335,7 +330,7 @@ MstResult run_kruskal(const CsrGraph& g, const CancelToken* cancel,
       c.recs.reset();
     }
   }
-  finalize_result(g, r, /*weights_summed=*/true);
+  finalize_result(g, r);
   return r;
 }
 }  // namespace

@@ -8,7 +8,7 @@
 
 namespace llpmst {
 
-void finalize_result(const CsrGraph& g, MstResult& r, bool weights_summed) {
+void finalize_result(const CsrGraph& g, MstResult& r) {
   // One pass marks each id in an m-bit bitmap; a second walks the set bits,
   // which emits the ids in ascending order without a sort.  An id that is
   // out of range or already marked is kept aside and appended after the
@@ -25,12 +25,10 @@ void finalize_result(const CsrGraph& g, MstResult& r, bool weights_summed) {
     }
   }
 
-  if (!weights_summed) {
-    r.total_weight = 0;
-    r.weight_overflow = false;
-  }
+  r.total_weight = 0;
+  r.weight_overflow = false;
   const auto add_weight = [&](EdgeId e) {
-    if (!weights_summed && !checked_weight_add(r.total_weight, g.edge(e).w)) {
+    if (!checked_weight_add(r.total_weight, g.edge(e).w)) {
       r.weight_overflow = true;
     }
   };

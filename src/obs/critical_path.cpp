@@ -42,17 +42,6 @@ SchedulerSummary analyze_sched(const SchedSnapshot& snap) {
         edges.emplace_back(e.ts_us, +1);
         edges.emplace_back(e.ts_us + e.value, -1);
         break;
-      case SchedEventKind::kIdle:
-        w.idle_us += e.value;
-        t_max = std::max(t_max, e.ts_us + e.value);
-        break;
-      case SchedEventKind::kStealAttempt:
-        w.steal_attempts += e.value;
-        break;
-      case SchedEventKind::kStealSuccess:
-        w.steal_attempts += e.value;
-        w.steal_successes += e.value;
-        break;
       case SchedEventKind::kGrain:
         ++grains[pow2_floor(std::max<std::uint64_t>(e.value, 1))];
         break;
@@ -65,9 +54,6 @@ SchedulerSummary analyze_sched(const SchedSnapshot& snap) {
   sum.span_us = t_max - t_min;
   for (auto& [id, w] : workers) {
     sum.busy_us += w.busy_us;
-    sum.idle_us += w.idle_us;
-    sum.steal_attempts += w.steal_attempts;
-    sum.steal_successes += w.steal_successes;
     sum.workers.push_back(w);
   }
   for (const auto& [bucket, count] : grains) {
@@ -82,10 +68,6 @@ SchedulerSummary analyze_sched(const SchedSnapshot& snap) {
       denom > 0.0
           ? std::min(1.0, static_cast<double>(sum.busy_us) / denom)
           : 1.0;
-  if (sum.steal_attempts > 0) {
-    sum.steal_success_rate = static_cast<double>(sum.steal_successes) /
-                             static_cast<double>(sum.steal_attempts);
-  }
 
   // Critical-path sweep: walk the merged busy-interval boundaries and sum
   // the stretches where fewer than two workers were busy.  Per-worker task

@@ -99,19 +99,15 @@ std::string render_openmetrics() {
   if (sched.has_events) {
     append_family(out, "llpmst_sched_utilization_ratio", "gauge",
                   {{"", num(sched.utilization)}});
-    append_family(out, "llpmst_sched_steal_success_ratio", "gauge",
-                  {{"", num(sched.steal_success_rate)}});
     append_family(
         out, "llpmst_sched_critical_path_seconds", "gauge",
         {{"", num(static_cast<double>(sched.critical_path_us) * 1e-6)}});
-    Samples busy, idle;
+    Samples busy;
     for (const WorkerBreakdown& w : sched.workers) {
-      const std::string worker = label("worker", std::to_string(w.worker));
-      busy.emplace_back(worker, num(static_cast<double>(w.busy_us) * 1e-6));
-      idle.emplace_back(worker, num(static_cast<double>(w.idle_us) * 1e-6));
+      busy.emplace_back(label("worker", std::to_string(w.worker)),
+                        num(static_cast<double>(w.busy_us) * 1e-6));
     }
     append_family(out, "llpmst_sched_worker_busy_seconds", "counter", busy);
-    append_family(out, "llpmst_sched_worker_idle_seconds", "counter", idle);
     append_family(out, "llpmst_sched_dropped_events", "counter",
                   {{"", num(sched.dropped_events)}});
   }

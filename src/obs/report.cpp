@@ -108,7 +108,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
                              const HwSample* hw, const ProfSnapshot* profile) {
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"llpmst-run-report\",\"schema_version\":5,";
+  out += "{\"schema\":\"llpmst-run-report\",\"schema_version\":6,";
 
   // --- run metadata
   out += "\"run\":{\"tool\":" + json_quote(info.tool) +
@@ -235,14 +235,8 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
       std::snprintf(buf, sizeof(buf), "\"utilization\":%.4f,",
                     sched.utilization);
       out += buf;
-      std::snprintf(buf, sizeof(buf), "\"steal_success_rate\":%.4f,",
-                    sched.steal_success_rate);
-      out += buf;
       append_kv_u64(out, "span_us", sched.span_us);
       append_kv_u64(out, "busy_us", sched.busy_us);
-      append_kv_u64(out, "idle_us", sched.idle_us);
-      append_kv_u64(out, "steal_attempts", sched.steal_attempts);
-      append_kv_u64(out, "steal_successes", sched.steal_successes);
       append_kv_u64(out, "critical_path_us", sched.critical_path_us);
       append_kv_u64(out, "dropped_events", sched.dropped_events);
       append_array(out, "workers", sched.workers,
@@ -250,11 +244,7 @@ std::string build_run_report(const RunInfo& info, const MstAlgoStats* algo,
                      out += "{";
                      append_kv_u64(out, "worker", w.worker);
                      append_kv_u64(out, "busy_us", w.busy_us);
-                     append_kv_u64(out, "idle_us", w.idle_us);
-                     append_kv_u64(out, "tasks", w.tasks);
-                     append_kv_u64(out, "steal_attempts", w.steal_attempts);
-                     append_kv_u64(out, "steal_successes", w.steal_successes,
-                                   false);
+                     append_kv_u64(out, "tasks", w.tasks, false);
                      out += "}";
                    });
       out += ",";

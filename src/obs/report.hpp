@@ -4,7 +4,7 @@
 // its phase timings, rounds, scheduler summary and warnings — nothing from
 // another scope, so a per-query report in llpmstd holds only its query.
 // This is what `mst_tool --metrics-json`, the bench `--metrics-json` flags
-// and every executed llpmstd query write.  The document (schema_version 5,
+// and every executed llpmstd query write.  The document (schema_version 6,
 // the one current version) is specified, with an example, in
 // docs/observability.md; tools/check_report_schema.py checks it in CI.
 //

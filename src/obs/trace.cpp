@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <utility>
 
 namespace llpmst::obs {
 
@@ -16,24 +15,15 @@ constexpr unsigned kTraceKinds = detail::kind_bit(RecordKind::kSpan) |
                                  detail::kind_bit(RecordKind::kSample) |
                                  detail::kind_bit(RecordKind::kSched);
 
-/// The pid-1 track of a scheduler event ({name, ph}), or {null, 0} for the
-/// aggregate-only points (steal attempts, grain decisions).
-std::pair<const char*, char> sched_track(const Record& r) {
-  switch (static_cast<SchedEventKind>(r.sched)) {
-    case SchedEventKind::kTask: return {"sched/task", 'X'};
-    case SchedEventKind::kIdle: return {"sched/idle", 'X'};
-    case SchedEventKind::kStealSuccess: return {"sched/steal", 'i'};
-    default: return {nullptr, 0};
-  }
-}
-
 /// Calls fn(name, ph, pid, tid, record) for every event of the trace.
 template <typename Fn>
 void for_each_event(Fn&& fn) {
   detail::visit_records(kTraceKinds, [&](std::uint32_t tid, const Record& r) {
     if (r.kind == RecordKind::kSched) {
-      const auto [name, ph] = sched_track(r);
-      if (name != nullptr) fn(name, ph, 1u, tid, r);
+      // Task spans get a pid-1 track; grain decisions are aggregate-only.
+      if (static_cast<SchedEventKind>(r.sched) == SchedEventKind::kTask) {
+        fn("sched/task", 'X', 1u, tid, r);
+      }
     } else {
       fn(detail::node_path(r.node),
          r.kind == RecordKind::kSample ? 'C' : 'X', 0u, tid, r);
@@ -63,12 +53,6 @@ std::string trace_json() {
                     ",\"cat\":\"llpmst\",\"ph\":\"C\",\"ts\":%llu,"
                     "\"pid\":%u,\"tid\":%u,\"args\":{\"value\":%llu}}",
                     ts, pid, tid, v);
-    } else if (ph == 'i') {
-      // Instant event, thread-scoped ("s":"t").
-      std::snprintf(line, sizeof(line),
-                    ",\"cat\":\"llpmst\",\"ph\":\"i\",\"ts\":%llu,"
-                    "\"s\":\"t\",\"pid\":%u,\"tid\":%u}",
-                    ts, pid, tid);
     } else {
       std::snprintf(line, sizeof(line),
                     ",\"cat\":\"llpmst\",\"ph\":\"X\",\"ts\":%llu,"

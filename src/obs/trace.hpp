@@ -9,8 +9,7 @@
 //
 // The document holds the current run scope's phase and "pool/region" spans
 // ("X") and counter samples ("C") under pid 0 (tid = shard id), and its
-// scheduler events as per-worker tracks under pid 1: "sched/task" and
-// "sched/idle" spans, "sched/steal" instants.
+// scheduler task spans as per-worker "sched/task" tracks under pid 1.
 #pragma once
 
 #include <cstddef>

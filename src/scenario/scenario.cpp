@@ -41,7 +41,7 @@ EdgeList make_rmat_graph500(std::uint64_t seed) {
 
 EdgeList make_rmat_skew_extreme(std::uint64_t seed) {
   // a=0.70: heavy-tailed degrees, a few huge hubs — worst case for chunked
-  // load balance, the regime where the steal fallback must engage.
+  // load balance.
   return rmat_with(10, 0.70, 0.12, 0.12, seed);
 }
 

@@ -61,7 +61,7 @@ def make_record(algo="LLP-Prim", median=10.0, iqr=0.5, workload="Road 16,384",
                 "alloc_delta": alloc_delta},
     }
     if util is not None:
-        record["sched"] = {"utilization": util, "steal_rate": 0.1}
+        record["sched"] = {"utilization": util}
     return record
 
 

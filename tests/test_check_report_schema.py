@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """End-to-end tests for the run-report side of tools/check_report_schema.py:
-synthesizes llpmst-run-report documents (schema_version 5, the only one
+synthesizes llpmst-run-report documents (schema_version 6, the only one
 accepted) and bench records with the optional profile section in temp
 files and asserts on the checker's exit status.  The "profile" and
 "bandwidth" sections must accept null, the {"available": false, "reason"}
@@ -25,7 +25,7 @@ def make_report():
     """A schema-complete llpmst-run-report."""
     return {
         "schema": "llpmst-run-report",
-        "schema_version": 5,
+        "schema_version": 6,
         "run": {
             "tool": "test", "algorithm": "llp-prim", "threads": 2,
             "wall_ms": 1.5, "outcome": "ok", "fallback_reason": "",
@@ -134,10 +134,30 @@ class CheckReportSchemaTest(unittest.TestCase):
         self.assert_ok(make_report())
 
     def test_rejects_unknown_version(self):
-        for version in (1, 2, 3, 4, 6):
+        for version in (1, 2, 3, 4, 7):
             doc = make_report()
             doc["schema_version"] = version
             self.assert_fails(doc, "schema_version")
+
+    def test_rejects_the_previous_version(self):
+        doc = make_report()
+        doc["schema_version"] = 5
+        self.assert_fails(doc, "expected 6")
+
+    # --- the scheduler section ------------------------------------------
+
+    def test_scheduler_summary_passes(self):
+        doc = make_report()
+        doc["scheduler"] = {
+            "utilization": 0.75, "span_us": 200, "busy_us": 300,
+            "critical_path_us": 50, "dropped_events": 0,
+            "workers": [{"worker": 0, "busy_us": 150, "tasks": 2},
+                        {"worker": 1, "busy_us": 150, "tasks": 2}],
+            "grain_hist": [{"grain": 4096, "count": 1}],
+        }
+        self.assert_ok(doc)
+        doc["scheduler"]["utilization"] = 1.5
+        self.assert_fails(doc, "scheduler.utilization")
 
     # --- the v4 profile section -----------------------------------------
 

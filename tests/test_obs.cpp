@@ -28,6 +28,7 @@
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/sim_executor.hpp"
 
@@ -85,6 +86,33 @@ bool json_balanced(const std::string& s) {
     }
   }
   return false;  // unterminated string or never closed
+}
+
+/// The keys of the JSON object whose '{' sits at `pos`, in order.  *end
+/// receives the offset past its '}'.
+std::vector<std::string> object_keys(const std::string& s, std::size_t pos,
+                                     std::size_t* end = nullptr) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = pos; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c == '"') {
+      std::size_t close = i + 1;
+      for (; s[close] != '"'; ++close) {
+        if (s[close] == '\\') ++close;
+      }
+      if (depth == 1 && s[close + 1] == ':') {
+        keys.push_back(s.substr(i + 1, close - i - 1));
+      }
+      i = close;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      if (end != nullptr) *end = i + 1;
+      break;
+    }
+  }
+  return keys;
 }
 
 std::uint64_t find_counter(const std::vector<obs::MetricSample>& samples,
@@ -403,7 +431,7 @@ TEST(ObsHwCounters, BeginDoesNotThrowAndReadsWhenAvailable) {
 
   // Burn some cycles so the deltas are visibly non-zero.
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<std::uint64_t>(i);
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<std::uint64_t>(i);
 
   const obs::HwSample s = obs::hw_read();
   EXPECT_TRUE(s.available);
@@ -432,7 +460,9 @@ TEST(ObsHwCounters, ScopedDeltasFoldIntoPhaseAggregates) {
     obs::PhaseTimer phase("hw_test_phase");
     obs::ScopedHwCounters scope("hw_test_label");
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 1000000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 1000000; ++i) {
+      sink = sink + static_cast<std::uint64_t>(i);
+    }
   }
   obs::set_enabled(false);
   const auto phases = obs::snapshot_hw_phases();
@@ -487,7 +517,7 @@ TEST(ObsReport, SchemaV4CarriesHwNullMemRoundsAndScheduler) {
   const std::string report =
       obs::build_run_report(test_run_info(), nullptr, nullptr);
   EXPECT_TRUE(json_balanced(report)) << report;
-  EXPECT_NE(report.find("\"schema_version\":5"), std::string::npos);
+  EXPECT_NE(report.find("\"schema_version\":6"), std::string::npos);
   // --hw-counters not requested: hw must be JSON null, not omitted.
   EXPECT_NE(report.find("\"hw\":null"), std::string::npos) << report;
   EXPECT_NE(report.find("\"mem\":{\"peak_rss_bytes\":"), std::string::npos)
@@ -523,7 +553,7 @@ TEST(ObsReport, SchemaV3SerializesRecordedRounds) {
   EXPECT_NE(report.find("\"label\":\"report_site\""), std::string::npos)
       << report;
   EXPECT_NE(report.find("\"round\":7"), std::string::npos) << report;
-  // A schema-5 round object ends at wall_ms.
+  // A schema-6 round object ends at wall_ms.
   EXPECT_NE(report.find("\"wall_ms\":0.250}"), std::string::npos) << report;
   EXPECT_EQ(report.find("imbalance"), std::string::npos) << report;
   obs::reset_metrics();
@@ -537,7 +567,7 @@ TEST(ObsSchedEvents, RecordsOnlyWhileCollecting) {
   obs::sched_start();
   EXPECT_TRUE(obs::sched_collecting());
   obs::sched_record(obs::SchedEventKind::kTask, 100, 40);
-  obs::sched_record(obs::SchedEventKind::kStealSuccess, 150, 1);
+  obs::sched_record(obs::SchedEventKind::kGrain, 150, 4096);
   obs::sched_stop();
   EXPECT_FALSE(obs::sched_collecting());
   obs::sched_record(obs::SchedEventKind::kTask, 200, 5);  // after stop
@@ -548,7 +578,7 @@ TEST(ObsSchedEvents, RecordsOnlyWhileCollecting) {
   EXPECT_EQ(snap.events[0].kind, obs::SchedEventKind::kTask);
   EXPECT_EQ(snap.events[0].ts_us, 100u);
   EXPECT_EQ(snap.events[0].value, 40u);
-  EXPECT_EQ(snap.events[1].kind, obs::SchedEventKind::kStealSuccess);
+  EXPECT_EQ(snap.events[1].kind, obs::SchedEventKind::kGrain);
   EXPECT_EQ(snap.events[1].ts_us, 150u);
   // Buffered events survive until the next start, which clears them.
   obs::sched_start();
@@ -606,12 +636,9 @@ TEST(ObsCriticalPath, AnalyzesSyntheticTimeline) {
     e.value = v;
     snap.events.push_back(e);
   };
-  // Worker 0 busy [0,100); worker 1 idles [0,50) then busy [50,150).
+  // Worker 0 busy [0,100); worker 1 busy [50,150).
   add(obs::SchedEventKind::kTask, 0, 0, 100);
-  add(obs::SchedEventKind::kIdle, 1, 0, 50);
   add(obs::SchedEventKind::kTask, 1, 50, 100);
-  add(obs::SchedEventKind::kStealAttempt, 1, 50, 3);  // 3 failed probes
-  add(obs::SchedEventKind::kStealSuccess, 1, 50, 1);
   add(obs::SchedEventKind::kGrain, 0, 10, 4096);
   add(obs::SchedEventKind::kGrain, 0, 20, 5000);  // same pow2 bucket
   add(obs::SchedEventKind::kGrainSerial, 0, 30, 64);
@@ -621,20 +648,15 @@ TEST(ObsCriticalPath, AnalyzesSyntheticTimeline) {
   EXPECT_TRUE(sum.has_events);
   EXPECT_EQ(sum.span_us, 150u);
   EXPECT_EQ(sum.busy_us, 200u);
-  EXPECT_EQ(sum.idle_us, 50u);
   EXPECT_EQ(sum.dropped_events, 2u);
   EXPECT_NEAR(sum.utilization, 200.0 / (150.0 * 2.0), 1e-12);
-  EXPECT_EQ(sum.steal_attempts, 4u);
-  EXPECT_EQ(sum.steal_successes, 1u);
-  EXPECT_DOUBLE_EQ(sum.steal_success_rate, 0.25);
   // Only [50,100) has both workers busy; the rest is critical path.
   EXPECT_EQ(sum.critical_path_us, 100u);
   ASSERT_EQ(sum.workers.size(), 2u);
   EXPECT_EQ(sum.workers[0].worker, 0u);
   EXPECT_EQ(sum.workers[0].busy_us, 100u);
   EXPECT_EQ(sum.workers[0].tasks, 1u);
-  EXPECT_EQ(sum.workers[1].idle_us, 50u);
-  EXPECT_EQ(sum.workers[1].steal_successes, 1u);
+  EXPECT_EQ(sum.workers[1].busy_us, 100u);
   // Grain histogram: bucket 0 = ran inline, 4096 holds both grain picks.
   ASSERT_EQ(sum.grain_hist.size(), 2u);
   EXPECT_EQ(sum.grain_hist[0], (std::pair<std::uint64_t, std::uint64_t>{
@@ -646,15 +668,56 @@ TEST(ObsCriticalPath, AnalyzesSyntheticTimeline) {
 TEST(ObsCriticalPath, PointOnlySnapshotCountsAsFullyUtilized) {
   obs::SchedSnapshot snap;
   obs::SchedEvent e;
-  e.kind = obs::SchedEventKind::kStealSuccess;
+  e.kind = obs::SchedEventKind::kGrain;
   e.ts_us = 42;
-  e.value = 1;
+  e.value = 4096;
   snap.events.push_back(e);
   const obs::SchedulerSummary sum = obs::analyze_sched(snap);
   EXPECT_TRUE(sum.has_events);
   EXPECT_EQ(sum.span_us, 0u);
   // Zero span: defined as fully utilized, keeping the (0, 1] contract.
   EXPECT_DOUBLE_EQ(sum.utilization, 1.0);
+}
+
+TEST(ObsCriticalPath, ReportSchedulerHoldsOnlyTaskAndGrainFields) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  ThreadPool pool(4);
+  GrainFeedback feedback;
+  std::vector<std::uint64_t> out(1 << 16);
+  obs::sched_start();
+  const AdaptiveRun run = parallel_for_adaptive(
+      pool, 0, out.size(), feedback, [&out](std::size_t i) { out[i] = i * i; });
+  obs::sched_stop();
+  ASSERT_TRUE(run.dispatched);
+
+  const std::string report =
+      obs::build_run_report(test_run_info(), nullptr, nullptr);
+  const std::size_t at = report.find("\"scheduler\":{");
+  ASSERT_NE(at, std::string::npos) << report;
+  const std::size_t open = report.find('{', at);
+  EXPECT_EQ(object_keys(report, open),
+            (std::vector<std::string>{"utilization", "span_us", "busy_us",
+                                      "critical_path_us", "dropped_events",
+                                      "workers", "grain_hist"}))
+      << report;
+  const obs::SchedulerSummary sum = obs::scheduler_summary();
+  EXPECT_GT(sum.utilization, 0.0);
+  EXPECT_LE(sum.utilization, 1.0);
+
+  std::size_t i = report.find("\"workers\":[", open);
+  ASSERT_NE(i, std::string::npos);
+  i = report.find('[', i) + 1;
+  std::size_t workers = 0;
+  while (report[i] == '{') {
+    EXPECT_EQ(object_keys(report, i, &i),
+              (std::vector<std::string>{"worker", "busy_us", "tasks"}))
+        << report;
+    ++workers;
+    if (report[i] == ',') ++i;
+  }
+  EXPECT_GE(workers, 1u);
+  obs::sched_start();  // leave no events buffered for later tests
+  obs::sched_stop();
 }
 
 // --- Per-round solver telemetry (schema v3 "rounds" array). -----------

@@ -29,11 +29,6 @@ def span(name, ts, dur, pid=0, tid=0):
             "ts": ts, "dur": dur, "pid": pid, "tid": tid}
 
 
-def instant(name, ts, pid=0, tid=0):
-    return {"name": name, "cat": "llpmst", "ph": "i",
-            "ts": ts, "s": "t", "pid": pid, "tid": tid}
-
-
 def counter(name, ts, value, tid=0):
     return {"name": name, "cat": "llpmst", "ph": "C",
             "ts": ts, "pid": 0, "tid": tid, "args": {"value": value}}
@@ -86,13 +81,11 @@ class Trace2SummaryTest(unittest.TestCase):
 
     def test_utilization_reads_scheduler_tracks(self):
         # Two workers under pid 1: worker 0 busy the whole 1000 us span,
-        # worker 1 busy half and idle half with one steal.
+        # worker 1 busy for its first half.
         path = self.write_trace([
             span("llp_boruvka/round", 0, 1000, pid=0),
             span("sched/task", 0, 1000, pid=1, tid=0),
             span("sched/task", 0, 500, pid=1, tid=1),
-            span("sched/idle", 500, 500, pid=1, tid=1),
-            instant("sched/steal", 500, pid=1, tid=1),
         ])
         r = run_summary("--utilization", path)
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)

@@ -247,25 +247,6 @@ TEST(FinalizeResult, AnyInputOrderGivesTheAscendingForest) {
   }
 }
 
-TEST(FinalizeResult, SummedWeightsAreKept) {
-  // A caller that summed the weights while choosing the edges (Kruskal,
-  // from its records) passes weights_summed: the ids are still put in
-  // ascending order, and its total stands as given.
-  const CsrGraph g = csr(make_paper_figure1());
-  const MstResult reference = reference_msf(g);
-  MstResult r;
-  r.edges.assign(reference.edges.rbegin(), reference.edges.rend());
-  r.total_weight = reference.total_weight;
-  finalize_result(g, r, /*weights_summed=*/true);
-  EXPECT_EQ(r.edges, reference.edges);
-  EXPECT_EQ(r.total_weight, reference.total_weight);
-  EXPECT_EQ(r.num_trees, reference.num_trees);
-  r.total_weight += 1;
-  finalize_result(g, r, /*weights_summed=*/true);
-  EXPECT_EQ(r.total_weight, reference.total_weight + 1);
-  EXPECT_FALSE(verify_spanning_forest(g, r).ok);
-}
-
 TEST(FinalizeResult, EmptyForest) {
   const CsrGraph g = csr(make_paper_figure1());
   MstResult r;

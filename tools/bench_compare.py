@@ -29,7 +29,7 @@ gated too: a key is an ALLOC REGRESSION when the candidate allocates more
 than (1 + --alloc-threshold) times the baseline per repetition (with a
 small absolute floor so near-zero counts don't flag on +1 alloc).
 
-When both records carry a "sched" section ({utilization, steal_rate},
+When both records carry a "sched" section ({utilization},
 emitted since schema PR 6), utilization drift beyond --util-drift is
 REPORTED — never gated: utilization collapse is a scaling lead worth
 surfacing in the log, but it is far too machine/noise-dependent to fail

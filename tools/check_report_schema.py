@@ -5,11 +5,11 @@
 
 Understands three document kinds, dispatched on the "schema" field:
 
-  * llpmst-run-report (schema_version 5, the only current version) — the
+  * llpmst-run-report (schema_version 6, the only current version) — the
     --metrics-json run report: run metadata, "algo", the "hw" (hardware
     counters, null-safe) and "mem" (peak RSS + allocation stats)
     sections, counters/gauges/phases, the "rounds" array (per-round
-    solver telemetry), the "scheduler" section (utilization / steal /
+    solver telemetry), the "scheduler" section (utilization / busy /
     critical-path summary, null when no scheduler events were
     collected), the "profile" section (sampling-profiler phase/stack
     histograms, null when not armed), the "bandwidth" section
@@ -21,7 +21,7 @@ Understands three document kinds, dispatched on the "schema" field:
   * llpmst-bench (schema_version 1) — one structured datapoint per
     benchmark measurement, as emitted by --bench-json and consumed by
     tools/bench_compare.py.  May carry an optional "sched" section
-    (null or {utilization, steal_rate}) and an optional "profile"
+    (null or {utilization}) and an optional "profile"
     section (null or {hz, samples, top_phases, est_gbps}).
   * llpmst-serve-response (schema_version 1) — llpmstd's response
     envelope for control ops (load/unload/list/cancel/healthz) and for
@@ -163,7 +163,8 @@ def check_rounds(rounds, expect):
 
 def check_scheduler(sched, expect):
     """Validates the "scheduler" section: null (no events) or a summary
-    object whose ratios sit in [0, 1] and counts are non-negative ints."""
+    object whose utilization sits in [0, 1] and counts are non-negative
+    ints."""
     if sched == "<missing>":
         expect(False, "scheduler section is missing (must be null or an "
                       "object)")
@@ -173,12 +174,10 @@ def check_scheduler(sched, expect):
     if not expect(isinstance(sched, dict),
                   "scheduler is neither null nor an object"):
         return
-    for key in ("utilization", "steal_success_rate"):
-        v = sched.get(key)
-        expect(isinstance(v, (int, float)) and 0 <= v <= 1,
-               f"scheduler.{key} = {v!r} is not a number in [0, 1]")
-    for key in ("span_us", "busy_us", "idle_us", "steal_attempts",
-                "steal_successes", "critical_path_us", "dropped_events"):
+    v = sched.get("utilization")
+    expect(isinstance(v, (int, float)) and 0 <= v <= 1,
+           f"scheduler.utilization = {v!r} is not a number in [0, 1]")
+    for key in ("span_us", "busy_us", "critical_path_us", "dropped_events"):
         v = sched.get(key)
         expect(isinstance(v, int) and v >= 0,
                f"scheduler.{key} = {v!r} is not a non-negative integer")
@@ -189,8 +188,7 @@ def check_scheduler(sched, expect):
             if not expect(isinstance(w, dict),
                           f"scheduler.workers[{i}] is not an object"):
                 continue
-            for key in ("worker", "busy_us", "idle_us", "tasks",
-                        "steal_attempts", "steal_successes"):
+            for key in ("worker", "busy_us", "tasks"):
                 v = w.get(key)
                 expect(isinstance(v, int) and v >= 0,
                        f"scheduler.workers[{i}].{key} = {v!r} is not a "
@@ -394,8 +392,8 @@ def check_serve_response(doc, errors, where):
 def check_run_report(doc, errors, where):
     expect = make_expect(errors, where)
     version = doc.get("schema_version")
-    if not expect(version == 5,
-                  f"schema_version is {version!r} (expected 5)"):
+    if not expect(version == 6,
+                  f"schema_version is {version!r} (expected 6)"):
         return
 
     run = doc.get("run")
@@ -520,10 +518,9 @@ def check_bench_record(doc, errors, where):
     if sched is not None:
         if expect(isinstance(sched, dict),
                   "sched is neither null nor an object"):
-            for key in ("utilization", "steal_rate"):
-                v = sched.get(key)
-                expect(isinstance(v, (int, float)) and 0 <= v <= 1,
-                       f"sched.{key} = {v!r} is not a number in [0, 1]")
+            v = sched.get("utilization")
+            expect(isinstance(v, (int, float)) and 0 <= v <= 1,
+                   f"sched.utilization = {v!r} is not a number in [0, 1]")
 
     # Optional profiler attribution (--profile; records from before PR 8
     # lack the key).

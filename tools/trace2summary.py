@@ -20,10 +20,9 @@ skipped (some writers emit metadata strings), and the wall span covers
 counter samples as well as complete spans — a trace whose first record is
 a counter event from a worker thread summarizes correctly.
 
---utilization reads the per-worker scheduler tracks an obs-enabled build
-exports under pid 1 ("sched/task" / "sched/idle" spans, "sched/steal"
-instants) and prints a busy/idle/steal breakdown per worker plus the
-top-k longest solver rounds.  A trace without those tracks (e.g. from an
+--utilization reads the per-worker "sched/task" spans an obs-enabled
+build exports under pid 1 and prints busy time, task count and % busy per
+worker plus the top-k longest solver rounds.  A trace without those tracks (e.g. from an
 LLPMST_OBS=0 build) reports that and exits 0.
 """
 import argparse
@@ -99,8 +98,8 @@ def summarize(events):
 
 
 def utilization_report(events, top):
-    """Per-worker busy/idle/steal breakdown from the pid-1 scheduler tracks
-    plus the longest solver rounds; returns the process exit code."""
+    """Per-worker busy breakdown from the pid-1 scheduler tracks plus the
+    longest solver rounds; returns the process exit code."""
     workers = {}
     t_min, t_max = None, None
     rounds = []  # (dur_us, ts, name) for pid-0 per-round spans
@@ -113,15 +112,10 @@ def utilization_report(events, top):
         dur = e.get("dur", 0)
         if e.get("pid") == 1 and name.startswith("sched/"):
             w = workers.setdefault(e.get("tid", 0),
-                                   {"busy_us": 0, "idle_us": 0,
-                                    "tasks": 0, "steals": 0})
+                                   {"busy_us": 0, "tasks": 0})
             if name == "sched/task" and ph == "X":
                 w["busy_us"] += dur
                 w["tasks"] += 1
-            elif name == "sched/idle" and ph == "X":
-                w["idle_us"] += dur
-            elif name == "sched/steal":
-                w["steals"] += 1
             t_min = ts if t_min is None else min(t_min, ts)
             t_max = ts + dur if t_max is None else max(t_max, ts + dur)
         elif ph == "X" and (name == "round" or name.endswith("/round")):
@@ -133,16 +127,14 @@ def utilization_report(events, top):
         return 0
 
     span_us = (t_max - t_min) if t_min is not None else 0
-    print(f"{'worker':>6}  {'busy ms':>10}  {'idle ms':>10}  {'tasks':>7}  "
-          f"{'steals':>7}  {'% busy':>6}")
+    print(f"{'worker':>6}  {'busy ms':>10}  {'tasks':>7}  {'% busy':>6}")
     total_busy = 0
     for tid in sorted(workers):
         w = workers[tid]
         total_busy += w["busy_us"]
         pct = 100.0 * w["busy_us"] / span_us if span_us else 0.0
-        print(f"{tid:>6}  {w['busy_us'] / 1000.0:>10.3f}  "
-              f"{w['idle_us'] / 1000.0:>10.3f}  {w['tasks']:>7}  "
-              f"{w['steals']:>7}  {pct:>5.1f}%")
+        print(f"{tid:>6}  {w['busy_us'] / 1000.0:>10.3f}  {w['tasks']:>7}  "
+              f"{pct:>5.1f}%")
     util = total_busy / (span_us * len(workers)) if span_us else 1.0
     print(f"\nscheduler span: {span_us / 1000.0:.3f} ms over "
           f"{len(workers)} workers, utilization {min(util, 1.0):.1%}")
@@ -166,7 +158,7 @@ def main():
                     help="print per-track counter statistics "
                          "(samples, min, max, last)")
     ap.add_argument("--utilization", action="store_true",
-                    help="per-worker busy/idle/steal breakdown from the "
+                    help="per-worker busy time from the "
                          "pid-1 scheduler tracks + top-k longest rounds")
     args = ap.parse_args()
 

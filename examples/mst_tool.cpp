@@ -183,6 +183,11 @@ int main(int argc, char** argv) {
                  "omit the flag for no deadline\n");
     return 2;
   }
+  if (threads < 1) {
+    std::fprintf(stderr, "--threads %lld: want at least 1 worker thread\n",
+                 static_cast<long long>(threads));
+    return 2;
+  }
   if (!algo_alias.empty()) algorithm = algo_alias;
 
   if (list_algos) {
@@ -297,8 +302,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Acquire the graph.  The pool exists from here on: the CSR build
-  // runs on it as well as the solve.
+  // --- Acquire the graph.  A generator request is checked first, so one
+  // that cannot be built starts no pool and allocates nothing.  The pool
+  // exists from here on: the CSR build runs on it as well as the solve.
+  const auto bad_generate = [&](const Status& st) {
+    std::fprintf(stderr, "bad --generate %s --scale %lld: %s\n",
+                 generate.c_str(), static_cast<long long>(scale),
+                 st.message().c_str());
+    return 2;
+  };
+  if (scen == nullptr && input.empty()) {
+    if (const Status st = check_by_kind(generate, scale); !st.ok()) {
+      return bad_generate(st);
+    }
+  }
   ThreadPool pool(static_cast<std::size_t>(threads));
   GraphFormat format = GraphFormat::kAuto;
   if (!parse_graph_format(graph_format, format)) {
@@ -352,12 +369,7 @@ int main(int argc, char** argv) {
     } else {
       Expected<EdgeList> generated = generate_by_kind(
           generate, scale, static_cast<std::uint64_t>(seed));
-      if (!generated.ok()) {
-        std::fprintf(stderr, "bad --generate %s --scale %lld: %s\n",
-                     generate.c_str(), static_cast<long long>(scale),
-                     generated.status().message().c_str());
-        return 2;
-      }
+      if (!generated.ok()) return bad_generate(generated.status());
       list = std::move(*generated);
     }
   }

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,6 +34,14 @@ class UnionFind {
       x = parent_[x];
     }
     return x;
+  }
+
+  /// Points every element straight at its representative, and returns the
+  /// parent array, which now maps each element to it.  Any number of
+  /// threads may read the array while no one calls a non-const method.
+  [[nodiscard]] std::span<const std::uint32_t> flatten() {
+    for (std::uint32_t x = 0; x < parent_.size(); ++x) parent_[x] = find(x);
+    return parent_;
   }
 
   [[nodiscard]] bool same_set(std::uint32_t a, std::uint32_t b) {

@@ -51,9 +51,9 @@ constexpr std::size_t kDenseDegree = 4;
 /// threads; the last is the paper's Fig. 3 crossover, not measured here.
 constexpr const char* kPolicy[4][2][2] = {
     // sparse: {disconnected, connected}, dense: {disconnected, connected}
-    {{"kruskal", "kruskal"}, {"llp-prim-parallel", "kruskal"}},  // 1
-    {{"kruskal", "kruskal"}, {"llp-boruvka", "kruskal"}},        // 2-3
-    {{"kruskal", "kruskal"}, {"llp-boruvka", "llp-boruvka"}},    // 4-7
+    {{"kruskal", "kruskal"}, {"kruskal", "kruskal"}},  // 1
+    {{"kruskal", "kruskal"}, {"kruskal", "kruskal"}},  // 2-3
+    {{"kruskal", "kruskal"}, {"kruskal", "kruskal"}},  // 4-7
     {{"llp-boruvka", "llp-boruvka"},
      {"llp-boruvka", "llp-boruvka"}},  // >= 8
 };

@@ -7,11 +7,9 @@
 // road-20, er-19 and rmat-19 at 1/2/4 threads), and
 // tools/check_auto_policy.py fails CI when a cell names an entry more than
 // 10% slower than that cell's best.  On the 4-vCPU host it was measured on:
-//   * a sparse graph (m < 4n), or a dense connected one below 4 threads
-//                          -> sequential Kruskal;
-//   * a dense disconnected graph -> llp-prim-parallel at 1 thread, and
-//     LLP-Boruvka from 2 threads;
-//   * a dense connected graph from 4 threads -> LLP-Boruvka;
+//   * every graph below 8 threads -> Kruskal, which filters the edges
+//     heavier than its lightest 2n and runs its passes on the pool (2-4x
+//     ahead of the next entry in every cell);
 //   * >= 8 threads         -> LLP-Boruvka, the paper's Fig. 3 crossover,
 //     which 4 vCPUs cannot measure.
 // Every entry the table names is forest-capable and returns the unique

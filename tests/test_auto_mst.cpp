@@ -68,8 +68,8 @@ TEST(AutoMst, OneThreadSparsePicksKruskal) {
   expect_cell(1, false, "kruskal", "kruskal");
 }
 
-TEST(AutoMst, OneThreadDensePicksKruskalOnTreesLlpPrimOnForests) {
-  expect_cell(1, true, "kruskal", "llp-prim-parallel");
+TEST(AutoMst, OneThreadDensePicksKruskal) {
+  expect_cell(1, true, "kruskal", "kruskal");
 }
 
 TEST(AutoMst, TwoThreadsSparsePickKruskal) {
@@ -77,17 +77,17 @@ TEST(AutoMst, TwoThreadsSparsePickKruskal) {
   expect_cell(3, false, "kruskal", "kruskal");
 }
 
-TEST(AutoMst, TwoThreadsDensePickKruskalOnTreesLlpBoruvkaOnForests) {
-  expect_cell(2, true, "kruskal", "llp-boruvka");
-  expect_cell(3, true, "kruskal", "llp-boruvka");
+TEST(AutoMst, TwoThreadsDensePickKruskal) {
+  expect_cell(2, true, "kruskal", "kruskal");
+  expect_cell(3, true, "kruskal", "kruskal");
 }
 
 TEST(AutoMst, FourThreadsSparsePickKruskal) {
   expect_cell(4, false, "kruskal", "kruskal");
 }
 
-TEST(AutoMst, FourThreadsDensePickLlpBoruvka) {
-  expect_cell(4, true, "llp-boruvka", "llp-boruvka");
+TEST(AutoMst, FourThreadsDensePickKruskal) {
+  expect_cell(4, true, "kruskal", "kruskal");
 }
 
 TEST(AutoMst, ManyThreadsPickLlpBoruvka) {

@@ -46,7 +46,7 @@ CsrGraph connected_graph() {
 
 CsrGraph dense_forest_graph() {
   // Graph500-shaped RMAT: m/n ~ 6 and disconnected, a cell where auto's
-  // policy table names llp-boruvka at >= 2 threads.
+  // policy table names kruskal below 8 threads and llp-boruvka from 8.
   return csr(find_scenario("rmat-graph500")->make(kConnectedSeed));
 }
 
@@ -180,11 +180,13 @@ TEST_F(Chaos, WatchdogStopsAWedgedLlpSolve) {
 // ------------------------------------------------- graceful degradation
 
 TEST_F(Chaos, AutoFallsBackToKruskalOnInjectedFaultAtFourThreads) {
+  // At 4 threads auto's pick is kruskal itself, on the pool: its first
+  // scan poll faults once, and the fallback (no pool) must still answer.
   const CsrGraph g = dense_forest_graph();
   const MstResult reference = kruskal(g);
-  ThreadPool pool(4);  // dense + disconnected -> llp-boruvka
+  ThreadPool pool(4);
   RunContext ctx(pool);
-  ASSERT_TRUE(fail::arm("boruvka/contract", "return"));
+  ASSERT_TRUE(fail::arm("kruskal/scan", "1*return"));
 
   const AutoMstResult r = minimum_spanning_forest(g, ctx);
   EXPECT_TRUE(r.fell_back);
@@ -216,7 +218,7 @@ TEST_F(Chaos, AutoFallsBackToKruskalOnDeadline) {
   // forest.
   const CsrGraph g = dense_forest_graph();
   const MstResult reference = kruskal(g);
-  ThreadPool pool(4);
+  ThreadPool pool(8);  // the paper's crossover -> llp-boruvka
   RunContext ctx(pool);
   ASSERT_TRUE(fail::arm("boruvka/contract", "sleep(500)"));
 
@@ -244,7 +246,7 @@ TEST_F(Chaos, AutoHonoursUserCancelWithoutFallback) {
 
 TEST_F(Chaos, FallbackCanBeDisabled) {
   const CsrGraph g = dense_forest_graph();
-  ThreadPool pool(4);
+  ThreadPool pool(8);  // the paper's crossover -> llp-boruvka
   RunContext ctx(pool);
   ASSERT_TRUE(fail::arm("boruvka/contract", "return"));
 

@@ -19,17 +19,18 @@ ROOT = Path(__file__).resolve().parent.parent
 CHECK = ROOT / "tools" / "check_auto_policy.py"
 RECORD = ROOT / "bench" / "baselines" / "regime-matrix.json"
 
-# Answers --list-algos with the entries this test suite's records use,
-# --pack-graph by writing an empty file, and --algo auto by printing the
-# pick that FAKE_PICKS (JSON: {"<graph> <threads>": entry}) names.
+# Answers --list-algos with the entries FAKE_ENTRIES names (by default the
+# two this test suite's records use), --pack-graph by writing an empty
+# file, and --algo auto by printing the pick that FAKE_PICKS (JSON:
+# {"<graph> <threads>": entry}) names.
 FAKE_TOOL = """#!/usr/bin/env python3
 import json, os, sys
 from pathlib import Path
 if "--list-algos" in sys.argv:
-    print("Registered MST/MSF algorithms (3):")
-    for name, kind in (("kruskal", "seq"), ("filter-kruskal", "par"),
-                       ("llp-boruvka", "par")):
-        print(f"  {name:<18} {kind}  summary")
+    entries = os.environ.get("FAKE_ENTRIES", "kruskal,llp-boruvka")
+    print(f"Registered MST/MSF algorithms ({entries.count(',') + 1}):")
+    for name in entries.split(","):
+        print(f"  {name:<18} par  summary")
     sys.exit(0)
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if "--pack-graph" in args:
@@ -60,11 +61,13 @@ class CheckAutoPolicy(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def check(self, records, picks, jsonl=False):
+    def check(self, records, picks, jsonl=False,
+              entries="kruskal,llp-boruvka"):
         path = self.dir / "matrix.json"
         path.write_text("\n".join(json.dumps(r) for r in records) if jsonl
                         else json.dumps(records))
-        env = dict(os.environ, FAKE_PICKS=json.dumps(picks))
+        env = dict(os.environ, FAKE_PICKS=json.dumps(picks),
+                   FAKE_ENTRIES=entries)
         return subprocess.run(
             [sys.executable, str(CHECK), "--tool", str(self.tool),
              "--record", str(path), "--pack-dir", str(self.dir / "packs")],
@@ -114,6 +117,15 @@ class CheckAutoPolicy(unittest.TestCase):
                        {"road-8 2": "kruskal"})
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("UNREGISTERED record: road-8 2T kkt", r.stdout)
+
+    def test_registered_entry_without_records_fails(self):
+        # An entry the registry lists but the matrix never timed cannot be
+        # weighed against auto's pick, even when the pick is fine.
+        r = self.check(self.cell(10.0, 20.0), {"road-8 2": "kruskal"},
+                       entries="kruskal,llp-boruvka,prim")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("MISSING entry: prim has no record", r.stdout)
+        self.assertNotIn("kruskal has no record", r.stdout)
 
     def test_committed_record_covers_the_matrix(self):
         docs = json.loads(RECORD.read_text())

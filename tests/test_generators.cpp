@@ -32,6 +32,23 @@ TEST(GenerateByKind, RejectsOutOfRangeScales) {
   }
   EXPECT_EQ(generate_by_kind("grid", 10, 1).status().code(),
             StatusCode::kInvalidArgument);
+  // rmat draws 16 edges per vertex and er 8: from rmat-28 and er-29 the
+  // count reaches 2^32, past what a 32-bit edge id numbers.  These come
+  // back before anything is allocated (the graphs would take 48+ GiB).
+  for (const auto& [kind, scale] :
+       {std::pair{"rmat", 28}, {"rmat", 30}, {"er", 29}, {"er", 30}}) {
+    const Expected<EdgeList> r = generate_by_kind(kind, scale, 1);
+    ASSERT_FALSE(r.ok()) << kind << " " << scale;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("32-bit edge ids"), std::string::npos)
+        << r.status().message();
+    EXPECT_EQ(check_by_kind(kind, scale).message(), r.status().message());
+  }
+  // One scale lower both fit, as does road at every scale.
+  for (const auto& [kind, scale] :
+       {std::pair{"rmat", 27}, {"er", 28}, {"road", 30}}) {
+    EXPECT_TRUE(check_by_kind(kind, scale).ok()) << kind << " " << scale;
+  }
 }
 
 // ---------------------------------------------------------------- rmat

@@ -1,8 +1,8 @@
 // kruskal against an independent std::stable_sort reference, and
 // filter_kruskal against kruskal.  (Both are also swept by
 // test_mst_property; this file covers their specific mechanics: kruskal's
-// weight-digit buckets, hub buckets, scratch bound, thread-count
-// independence and stride-granular stops.)
+// weight-digit buckets, light prefix and filter pass, hub buckets, scratch
+// bound, thread-count independence and stride-granular stops.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,9 +75,9 @@ std::function<Weight(std::uint64_t)> only(Weight varying, Weight fixed) {
 
 /// The independent reference: edge ids ordered by (weight, id) with
 /// std::stable_sort, grown into a forest through union-find, returned in
-/// ascending id order.  Only the first `limit` ids of that order are
-/// scanned: the prefix a run cancelled after `limit` edges got through.
-std::vector<EdgeId> reference_forest(
+/// the order they were united.  Only the first `limit` ids of that order
+/// are scanned: the prefix a run cancelled after `limit` edges got through.
+std::vector<EdgeId> reference_order(
     const CsrGraph& g,
     std::size_t limit = std::numeric_limits<std::size_t>::max()) {
   std::vector<EdgeId> order(g.num_edges());
@@ -91,6 +91,23 @@ std::vector<EdgeId> reference_forest(
     const WeightedEdge& e = g.edge(order[i]);
     if (uf.unite(e.u, e.v)) forest.push_back(order[i]);
   }
+  return forest;
+}
+
+/// reference_order in ascending id order, as every entry returns it.
+std::vector<EdgeId> reference_forest(
+    const CsrGraph& g,
+    std::size_t limit = std::numeric_limits<std::size_t>::max()) {
+  std::vector<EdgeId> forest = reference_order(g, limit);
+  std::sort(forest.begin(), forest.end());
+  return forest;
+}
+
+/// The first `count` edges the reference unites, in ascending id order:
+/// the partial forest of a run stopped after it united `count` edges.
+std::vector<EdgeId> reference_prefix(const CsrGraph& g, std::size_t count) {
+  std::vector<EdgeId> forest = reference_order(g);
+  forest.resize(std::min(count, forest.size()));
   std::sort(forest.begin(), forest.end());
   return forest;
 }
@@ -226,6 +243,165 @@ TEST_P(KruskalVariants, KruskalOnSmallAndThresholdEdgeCounts) {
   }
 }
 
+/// Disarms every failpoint when the test scope ends, even on ASSERT exits.
+struct DisarmFailpoints {
+  ~DisarmFailpoints() { fail::disarm_all(); }
+};
+
+/// Hits of the filter pass's failpoint during one kruskal(g, ctx) run
+/// (0 when failpoints are compiled out, so callers check kCompiledIn).
+std::size_t filter_hits(const CsrGraph& g, RunContext& ctx,
+                        MstResult* out = nullptr) {
+  DisarmFailpoints disarm;
+  EXPECT_TRUE(!fail::kCompiledIn ||
+              fail::arm("kruskal/filter", "0%yield"));  // counts hits only
+  MstResult r = kruskal(g, ctx);
+  const std::size_t hits = fail::hit_count("kruskal/filter");
+  if (out != nullptr) *out = std::move(r);
+  return hits;
+}
+
+/// A graph in two parts on n vertices: the `light` lightest edges join
+/// only the first `core` vertices (each to its next `light / core`
+/// neighbours around a ring), and `heavy` edges with weights in
+/// [band, band + 2^12) join the other vertices (each to its successor
+/// and to the one `stride` further on), so every heavy edge survives the
+/// filter while they form a forest.
+CsrGraph two_part(std::uint32_t n, std::uint32_t core, std::size_t light,
+                  std::size_t heavy, Weight band) {
+  EdgeList list(n);
+  const std::uint32_t reach = static_cast<std::uint32_t>(light / core);
+  for (std::uint32_t v = 0; v < core; ++v) {
+    for (std::uint32_t d = 1; d <= reach; ++d) {
+      const std::uint64_t h = SplitMix64::mix(v * 977 + d);
+      list.add_edge(v, (v + d) % core, static_cast<Weight>(h & 0xfffff));
+    }
+  }
+  const std::uint32_t rest = n - core;
+  for (std::size_t i = 0; i < heavy; ++i) {
+    const std::uint32_t v = core + static_cast<std::uint32_t>(i / 2) % rest;
+    const std::uint32_t step = i % 2 == 0 ? 1 : 7;
+    list.add_edge(v, core + (v - core + step) % rest,
+                  band + static_cast<Weight>(SplitMix64::mix(i) & 0xfff));
+  }
+  list.normalize();
+  return csr(list);
+}
+
+TEST_P(KruskalVariants, DenseGraphsMatchTheReferenceThroughTheFilter) {
+  // Dense graphs (m well above 2n) scan their lightest 2n edges, then
+  // filter the rest against that forest: the filter pass must run, and
+  // the forest must still be exactly the reference's.
+  RmatParams rp;
+  rp.scale = 12;
+  rp.seed = 3;
+  ErdosRenyiParams ep;
+  ep.num_vertices = 2000;
+  ep.num_edges = 30000;
+  ep.max_weight = 0xffffffffu;
+  ep.seed = 11;
+  const CsrGraph rmat = csr(generate_rmat(rp));
+  const CsrGraph er = csr(generate_erdos_renyi(ep));
+  for (const CsrGraph* g : {&rmat, &er}) {
+    ASSERT_GT(g->num_edges(), 4 * g->num_vertices());
+    MstResult r;
+    const std::size_t hits = filter_hits(*g, ctx_, &r);
+    EXPECT_EQ(r.edges, reference_forest(*g));
+    EXPECT_EQ(kruskal(*g).edges, r.edges);
+    if (fail::kCompiledIn) {
+      EXPECT_GT(hits, 0u);
+    }
+  }
+}
+
+TEST_P(KruskalVariants, EdgeCountsAroundTwiceTheVertexCount) {
+  // m = 2n - 1, 2n and 2n + 1 on n = 4096 vertices (four buckets).  The
+  // last edge id gets a weight far above the rest, so it is alone in the
+  // top bucket: at 2n + 1 the light prefix is the bottom bucket's 2n
+  // edges and the filter reads the one heavy edge; below that, every
+  // bucket is light.  The same graphs with full-range weights spread the
+  // cut over many buckets.
+  constexpr std::uint32_t n = 4096;
+  for (const std::size_t m : {2 * n - 1, 2 * n, 2 * n + 1}) {
+    EdgeList list(n);
+    for (std::uint32_t v = 0; v < n && list.num_edges() < m; ++v) {
+      for (std::uint32_t d : {1u, 2u, 3u}) {
+        if (list.num_edges() < m) list.add_edge(v, (v + d * 61) % n, 1);
+      }
+    }
+    list.normalize();
+    ASSERT_EQ(list.num_edges(), m);
+    for (const bool spread : {false, true}) {
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint64_t h = SplitMix64::mix(i + m);
+        list.edges()[i].w =
+            spread ? static_cast<Weight>(h)
+            : i + 1 == m ? 0x80000000u | static_cast<Weight>(h & 0xff)
+                         : static_cast<Weight>(h % 1000);
+      }
+      const CsrGraph g = csr(list);
+      MstResult r;
+      const std::size_t hits = filter_hits(g, ctx_, &r);
+      EXPECT_EQ(r.edges, reference_forest(g)) << m << " " << spread;
+      if (fail::kCompiledIn && !spread) {
+        EXPECT_EQ(hits > 0, m == 2 * n + 1) << m;
+      }
+    }
+  }
+}
+
+TEST_P(KruskalVariants, ASpanningLightPrefixSkipsTheFilter) {
+  // A connected graph whose lightest n - 1 edges form a path: the light
+  // scan completes the tree, so the filter pass never starts although m is
+  // about 6n.
+  EdgeList list = big_er_edges(3);
+  const std::uint32_t n = list.num_vertices();
+  for (WeightedEdge& e : list.edges()) {
+    e.w = 1000 + static_cast<Weight>(SplitMix64::mix(e.u * 31 + e.v) >> 40);
+  }
+  for (std::uint32_t v = 0; v + 1 < n; ++v) list.add_edge(v, v + 1, v % 997);
+  list.normalize();
+  const CsrGraph g = csr(list);
+  ASSERT_GT(g.num_edges(), 4 * std::size_t{n});
+  MstResult r;
+  const std::size_t hits = filter_hits(g, ctx_, &r);
+  EXPECT_EQ(r.edges, reference_forest(g));
+  EXPECT_EQ(r.num_trees, 1u);
+  EXPECT_EQ(hits, 0u);
+}
+
+TEST_P(KruskalVariants, DenseGraphsWithEqualWeightsAndHubBuckets) {
+  // All-equal weights make one bucket, so every edge is light.  The
+  // two-part graph puts 200k light edges on 1000 vertices and 198k heavy
+  // ones in one narrow band on the other 99k: the light bucket is a hub,
+  // and so is the heavy one, whose edges all survive the filter, so both
+  // are sorted in place.
+  const CsrGraph equal = reweight(big_er_edges(5), 5, only(0, 42));
+  EXPECT_EQ(kruskal(equal, ctx_).edges, reference_forest(equal));
+  const CsrGraph hubs = two_part(100000, 1000, 200000, 198000, 0x80000000u);
+  ASSERT_GT(hubs.num_edges(), 2 * hubs.num_vertices());
+  MstResult r;
+  const std::size_t hits = filter_hits(hubs, ctx_, &r);
+  EXPECT_EQ(r.edges, reference_forest(hubs));
+  if (fail::kCompiledIn) {
+    EXPECT_GT(hits, 0u);
+  }
+}
+
+TEST_P(KruskalVariants, InjectedFaultInTheFilterStopsAfterTheLightScan) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  // The filter pass polls "kruskal/filter": a fault there returns the
+  // forest of the light scan, the first edges of the reference's.
+  DisarmFailpoints disarm;
+  ASSERT_TRUE(fail::arm("kruskal/filter", "return"));
+  const CsrGraph g = csr(big_er_edges(9));
+  const MstResult r = kruskal(g, ctx_);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kInjectedFault);
+  EXPECT_FALSE(r.edges.empty());
+  EXPECT_LT(r.edges.size(), reference_forest(g).size());
+  EXPECT_EQ(r.edges, reference_prefix(g, r.edges.size()));
+}
+
 TEST(KruskalThreads, ForestsAreByteIdenticalAtOneAndFourThreads) {
   // Each worker's slice of a bucket follows the slices of the workers
   // before it, so every bucket keeps edge-id order whatever the team size.
@@ -335,11 +511,6 @@ TEST_P(KruskalVariants, FilterKruskalOnForest) {
   EXPECT_EQ(r.num_trees, 4u);
 }
 
-/// Disarms every failpoint when the test scope ends, even on ASSERT exits.
-struct DisarmFailpoints {
-  ~DisarmFailpoints() { fail::disarm_all(); }
-};
-
 TEST_P(KruskalVariants, FilterKruskalStopsWithinOneStrideOfADeadline) {
   if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
   // Every 1024-edge poll stalls 1 ms, so the top-level partition and the
@@ -431,9 +602,9 @@ TEST_P(KruskalVariants, FilterKruskalInjectedFaultStopsTheRun) {
   EXPECT_TRUE(r.edges.empty());
 }
 
-/// Runs the registry kruskal on a 4-worker simulated team whose timeline
-/// cancels `token` on the k-th hit of a failpoint (`timeline`), counting
-/// the hits of both of kruskal's failpoints.
+/// Runs the registry kruskal on a simulated team of `workers` whose
+/// timeline cancels `token` on the k-th hit of a failpoint (`timeline`),
+/// counting the hits of all of kruskal's failpoints.
 MstResult kruskal_cancelled_at(const CsrGraph& g, const std::string& timeline,
                                std::size_t workers) {
   sim::SimExecutor::Options o;
@@ -448,6 +619,7 @@ MstResult kruskal_cancelled_at(const CsrGraph& g, const std::string& timeline,
   ctx.attach_executor(&exec);
   ctx.set_cancel(&token);
   EXPECT_TRUE(fail::arm("kruskal/fill", "0%yield"));  // counts hits only
+  EXPECT_TRUE(fail::arm("kruskal/filter", "0%yield"));
   EXPECT_TRUE(fail::arm("kruskal/scan", "0%yield"));
   return kruskal(g, ctx);
 }
@@ -477,9 +649,10 @@ TEST(KruskalStops, ACancelInsideABucketStopsWithinOneStride) {
   DisarmFailpoints disarm;
   const CsrGraph g = csr(big_er_edges(7));
   // Hit k of the scan's poll comes before record (k - 1) * 1024 in
-  // (weight, id) order, which lies inside a ~3k-record bucket.  The run
-  // must have united exactly the forest of the records before it.
-  for (const std::size_t k : {2u, 37u, 90u}) {
+  // (weight, id) order, which lies inside a ~3k-record bucket of the light
+  // prefix (its first 2n = 80k records, so k <= 79).  The run must have
+  // united exactly the forest of the records before it.
+  for (const std::size_t k : {2u, 37u, 78u}) {
     const MstResult r = kruskal_cancelled_at(
         g, "hit(kruskal/scan:" + std::to_string(k) + "): cancel", 4);
     EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled) << k;
@@ -487,6 +660,47 @@ TEST(KruskalStops, ACancelInsideABucketStopsWithinOneStride) {
     EXPECT_EQ(r.edges, reference_forest(g, (k - 1) * kScanStride)) << k;
     EXPECT_FALSE(r.edges.empty()) << k;
   }
+}
+
+TEST(KruskalStops, ACancelInsideTheFilterStopsWithinOneStride) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  DisarmFailpoints disarm;
+  const CsrGraph g = csr(big_er_edges(10));
+  // The filter polls once per 1024 edges of every worker's range, about
+  // m / 1024 = 195 times in all: hit 100 lies in its middle.  The run
+  // stops there with the light scan's forest, and no survivor is scanned.
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t k = 100;
+  const MstResult full = kruskal_cancelled_at(g, "", kWorkers);
+  const std::size_t light_polls = fail::hit_count("kruskal/scan");
+  ASSERT_GT(fail::hit_count("kruskal/filter"), k + kWorkers);
+  const MstResult r = kruskal_cancelled_at(
+      g, "hit(kruskal/filter:" + std::to_string(k) + "): cancel", kWorkers);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
+  EXPECT_GE(fail::hit_count("kruskal/filter"), k);
+  EXPECT_LT(fail::hit_count("kruskal/filter"), k + kWorkers);
+  EXPECT_LT(fail::hit_count("kruskal/scan"), light_polls);
+  EXPECT_FALSE(r.edges.empty());
+  EXPECT_LT(r.edges.size(), full.edges.size());
+  EXPECT_EQ(r.edges, reference_prefix(g, r.edges.size()));
+}
+
+TEST(KruskalStops, ACancelInsideTheSurvivorScanStopsWithinOneStride) {
+  if (!fail::kCompiledIn) GTEST_SKIP() << "failpoints compiled out";
+  DisarmFailpoints disarm;
+  // The scan's last poll lies among the survivors of the filter.  A cancel
+  // there keeps every edge united before it: the run's forest is the
+  // reference's first edges, and it misses some of the rest.
+  const CsrGraph g = csr(big_er_edges(7));
+  const MstResult full = kruskal_cancelled_at(g, "", 4);
+  const std::size_t last = fail::hit_count("kruskal/scan");
+  ASSERT_GT(fail::hit_count("kruskal/filter"), 0u);
+  const MstResult r = kruskal_cancelled_at(
+      g, "hit(kruskal/scan:" + std::to_string(last) + "): cancel", 4);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled);
+  EXPECT_EQ(fail::hit_count("kruskal/scan"), last);
+  EXPECT_LT(r.edges.size(), full.edges.size());
+  EXPECT_EQ(r.edges, reference_prefix(g, r.edges.size()));
 }
 
 TEST(KruskalStops, AContextRunsAgainAfterAStoppedRun) {

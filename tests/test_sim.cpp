@@ -358,13 +358,13 @@ TEST_F(SimTimeline, UserCancelDuringAutoFallbackStopsTheSequentialScan) {
   // (an expired deadline must not kill its own recovery).  Here the user
   // cancel lands MID-fallback, scripted on the k-th kruskal/scan stride:
   // the fallback must stop with a partial forest, not run to completion.
-  // Dense and disconnected: auto's table names llp-boruvka at 4 workers.
+  // From 8 workers auto's table names llp-boruvka.
   const CsrGraph g = scenario_graph("rmat-graph500", 9);
   const MstResult reference = kruskal(g);
 
   SimExecutor::Options o;
   o.seed = 3;
-  o.workers = 4;
+  o.workers = 8;
   o.timeline = "hit(kruskal/scan:2): cancel";
   SimExecutor exec(o);
   ASSERT_TRUE(exec.timeline_error().empty()) << exec.timeline_error();
@@ -386,15 +386,15 @@ TEST_F(SimTimeline, UserCancelDuringAutoFallbackStopsTheSequentialScan) {
 TEST_F(SimTimeline, ExpiredDeadlineFallbackStillCompletesUnderSim) {
   // Counterpart to the user-cancel case: when only the DEADLINE expires,
   // the fallback ignores it and must deliver the complete exact forest
-  // even though virtual time never rewinds.  The graph is dense and
-  // disconnected, so auto's pick at 4 workers is the parallel llp-boruvka,
-  // whose scheduling decisions advance the virtual clock past the budget.
+  // even though virtual time never rewinds.  At 8 workers auto's pick is
+  // the parallel llp-boruvka, whose scheduling decisions advance the
+  // virtual clock past the budget.
   const CsrGraph g = scenario_graph("rmat-graph500", 10);
   const MstResult reference = kruskal(g);
 
   SimExecutor::Options o;
   o.seed = 4;
-  o.workers = 4;
+  o.workers = 8;
   o.step_ns = 1'000'000;  // 1ms per decision: the 1ms budget dies instantly
   SimExecutor exec(o);
   RunContext ctx;

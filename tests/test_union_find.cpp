@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "ds/concurrent_union_find.hpp"
@@ -63,6 +64,16 @@ TEST(UnionFind, RandomizedAgainstNaiveLabels) {
           ASSERT_EQ(uf.same_set(i, j), label[i] == label[j]);
         }
       }
+    }
+  }
+  // flatten() maps every element straight to its representative.
+  const std::span<const std::uint32_t> root = uf.flatten();
+  ASSERT_EQ(root.size(), n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_EQ(root[root[i]], root[i]);
+    EXPECT_EQ(uf.find(i), root[i]);
+    for (std::uint32_t j : {0u, n / 2, n - 1}) {
+      EXPECT_EQ(root[i] == root[j], label[i] == label[j]);
     }
   }
 }

@@ -8,8 +8,10 @@ asks the built mst_tool which entry `--algo auto` runs there (a graph
 named KIND-SCALE is `--generate KIND --scale SCALE`, packed once and mounted
 at each thread count) and fails when that entry's recorded median is more
 than 10% above the cell's best, or was not measured.  It also fails when a
-record was not verified against the Kruskal oracle, or names an entry that
-`mst_tool --list-algos` does not list (a deleted entry's stale row).
+record was not verified against the Kruskal oracle, names an entry that
+`mst_tool --list-algos` does not list (a deleted entry's stale row), or
+when a listed entry has no record at all (an entry added since the matrix
+was measured).
 
     tools/check_auto_policy.py --tool build/examples/mst_tool \\
         [--record bench/baselines/regime-matrix.json] [--pack-dir DIR]
@@ -101,6 +103,10 @@ def main():
             print(f"UNREGISTERED record: {workload} {threads}T {algo} is not "
                   f"a registry entry")
             ok = False
+    measured = {algo for medians in cells.values() for algo in medians}
+    for algo in sorted(names - measured):
+        print(f"MISSING entry: {algo} has no record in {args.record}")
+        ok = False
 
     with tempfile.TemporaryDirectory() as tmp:
         pack_dir = args.pack_dir or Path(tmp)
